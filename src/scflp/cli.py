@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnc import CSV_HEADER, BncConfig, root_relaxation, solve
+from .bnc import CSV_HEADER, BncConfig, solve
 from .instance import GeneratorParams, InstanceError, generate_instance, load_instance, save_instance
 from .oracle import brute_force_solve
 from .verify import verify_aggregation, verify_hull, verify_prop61
@@ -185,19 +185,8 @@ def _bench_task(payload):
     """Worker body: one (instance, formulation) solve to a CSV row."""
     text, label, form, time_limit, gap, seed = payload
     inst = load_instance(text)
-    cfg = BncConfig(formulation=form, time_limit=time_limit, gap_tol=gap, seed=seed)
-    report = solve(inst, cfg)
-    if report.status == "optimal" and not np.isnan(report.objective):
-        _, rg = root_relaxation(inst, cfg, true_opt=report.objective)
-    else:
-        rg = float("nan")
-    row = (
-        f"{label},{form},"
-        f"{'' if np.isnan(report.objective) else format(report.objective, '.6f')},"
-        f"{report.total_time_s:.3f},{report.nodes},{report.cuts},{report.sep_time_s:.3f},"
-        f"{'' if np.isnan(rg) else format(rg, '.4f')},{report.status}"
-    )
-    return row, report.status, report.total_time_s, form
+    report = solve(inst, BncConfig(formulation=form, time_limit=time_limit, gap_tol=gap, seed=seed))
+    return report.csv_row(label), report.status, report.total_time_s, form
 
 
 def _cmd_bench(args) -> int:

@@ -1,12 +1,20 @@
 """Bounded-variable LP layer used by the branch-and-cut driver.
 
 Models are maximization problems over a fixed column set with a growable
-row set (cuts append rows).  Solves are delegated to HiGHS dual simplex via
-scipy.optimize.linprog, which returns basic (vertex) solutions and is
-deterministic for identical input; the ``warm`` argument is accepted for
-interface stability and treated as advisory.  A solve never reports
-"optimal" with primal residuals above 1e-7 -- numerical trouble surfaces as
-status "iteration_limit" instead.
+row set (cuts append rows).  Each model owns one persistent HiGHS instance,
+created on its first solve: single-threaded dual simplex, no presolve,
+output off, so identical call sequences give identical results.  A solve
+appends only the rows added since the previous one, pushes the current
+column bounds and objective (callers change them in place or reassign
+them between solves), and runs from the previous basis -- every solve after
+the first is warm, with no argument to ask for it.  A solve never reports
+"optimal" with primal residuals above 1e-7, measured by one sparse mat-vec
+over a CSR copy of the rows; numerical trouble surfaces as status
+"iteration_limit" instead.
+
+HiGHS is driven through scipy's private ``scipy.optimize._highspy._core._Highs``
+class because the public ``linprog`` builds a fresh model on every call and
+keeps no basis; pyproject.toml pins the scipy range that offers its methods.
 
 ``to_lp_text`` renders a model in the LP interchange format (Maximize /
 Subject To / Bounds / End sections, one row per line, ``<=``, ``>=``, ``=``
@@ -16,21 +24,19 @@ model this package builds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs_core
 
 FEAS_TOL = 1e-7
 
-_STATUS = {
-    0: "optimal",
-    1: "iteration_limit",
-    2: "infeasible",
-    3: "unbounded",
-    4: "iteration_limit",
-}
+_MS = highs_core.HighsModelStatus
+_STATUS = {_MS.kOptimal: "optimal", _MS.kInfeasible: "infeasible", _MS.kUnbounded: "unbounded"}
+# simplex strategy 1 is serial dual simplex
+_OPTIONS = {"output_flag": False, "threads": 1, "solver": "simplex", "simplex_strategy": 1, "presolve": "off"}
 
 
 @dataclass
@@ -53,6 +59,12 @@ class LpModel:
             raise ValueError("bound arrays must match the objective length")
         self.names = list(names) if names is not None else [f"v{j}" for j in range(self.ncols)]
         self.rows: list[LpRow] = []
+        self._highs = None  # created on the first solve
+        self._cols = np.arange(self.ncols, dtype=np.int32)
+        self._synced = 0  # rows already passed to HiGHS and to the CSR copy
+        self._matrix = sparse.csr_matrix((0, self.ncols))
+        self._row_lo = np.empty(0)
+        self._row_hi = np.empty(0)
 
     @property
     def nrows(self) -> int:
@@ -72,36 +84,32 @@ class LpModel:
         self.rows.append(LpRow(entries, sense, float(rhs), tag))
         return len(self.rows) - 1
 
-    def _assemble(self):
-        ub_i, ub_j, ub_v, ub_r = [], [], [], []
-        eq_i, eq_j, eq_v, eq_r = [], [], [], []
-        for row in self.rows:
-            if row.sense == "=":
-                k = len(eq_r)
-                eq_r.append(row.rhs)
-                for j, c in row.coef.items():
-                    eq_i.append(k)
-                    eq_j.append(j)
-                    eq_v.append(c)
-            else:
-                flip = -1.0 if row.sense == ">=" else 1.0
-                k = len(ub_r)
-                ub_r.append(flip * row.rhs)
-                for j, c in row.coef.items():
-                    ub_i.append(k)
-                    ub_j.append(j)
-                    ub_v.append(flip * c)
-        A_ub = (
-            sparse.csr_matrix((ub_v, (ub_i, ub_j)), shape=(len(ub_r), self.ncols))
-            if ub_r
-            else None
-        )
-        A_eq = (
-            sparse.csr_matrix((eq_v, (eq_i, eq_j)), shape=(len(eq_r), self.ncols))
-            if eq_r
-            else None
-        )
-        return A_ub, (np.array(ub_r) if ub_r else None), A_eq, (np.array(eq_r) if eq_r else None)
+    def _sync(self):
+        """Bring the HiGHS instance and the CSR copy up to date with the
+        model: append new rows, push column bounds and objective."""
+        if self._highs is None:
+            self._highs = highs_core._Highs()
+            for key, value in _OPTIONS.items():
+                self._highs.setOptionValue(key, value)
+            _check(self._highs.addVars(self.ncols, self.lower, self.upper), "addVars")
+            self._highs.changeObjectiveSense(highs_core.ObjSense.kMaximize)
+        new = self.rows[self._synced :]
+        if new:
+            indptr = np.cumsum([0] + [len(r.coef) for r in new], dtype=np.int32)
+            index = np.fromiter(itertools.chain.from_iterable(r.coef for r in new), np.int32, indptr[-1])
+            value = np.fromiter(itertools.chain.from_iterable(r.coef.values() for r in new), float, indptr[-1])
+            rhs = np.array([r.rhs for r in new])
+            lo = np.where([r.sense == "<=" for r in new], -np.inf, rhs)
+            hi = np.where([r.sense == ">=" for r in new], np.inf, rhs)
+            _check(self._highs.addRows(len(new), lo, hi, index.size, indptr[:-1], index, value), "addRows")
+            block = sparse.csr_matrix((value, index, indptr), shape=(len(new), self.ncols))
+            self._matrix = sparse.vstack([self._matrix, block], format="csr")
+            self._row_lo = np.concatenate([self._row_lo, lo])
+            self._row_hi = np.concatenate([self._row_hi, hi])
+            self._synced = len(self.rows)
+        _check(self._highs.changeColsBounds(self.ncols, self._cols, self.lower, self.upper), "changeColsBounds")
+        _check(self._highs.changeColsCost(self.ncols, self._cols, self.objective), "changeColsCost")
+        return self._highs
 
     def to_lp_text(self) -> str:
         def num(x: float) -> str:
@@ -136,48 +144,34 @@ class LpResult:
     status: str  # optimal | infeasible | unbounded | iteration_limit
     objective: float
     x: np.ndarray | None
-    basis: object = None  # advisory warm-start token
     max_violation: float = 0.0
     message: str = ""
 
 
-def _violation(model: LpModel, x: np.ndarray) -> float:
-    worst = max(
-        float(np.max(model.lower - x, initial=0.0)),
-        float(np.max(x - model.upper, initial=0.0)),
-    )
-    for row in model.rows:
-        lhs = sum(c * x[j] for j, c in row.coef.items())
-        if row.sense == "<=":
-            worst = max(worst, lhs - row.rhs)
-        elif row.sense == ">=":
-            worst = max(worst, row.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - row.rhs))
-    return worst
+def _check(status, call: str):
+    if status == highs_core.HighsStatus.kError:
+        raise ValueError(f"HiGHS rejected the model data in {call}")
 
 
-def lp_solve(model: LpModel, warm=None) -> LpResult:
+def lp_solve(model: LpModel) -> LpResult:
     """Maximize the model objective; see module docstring for guarantees."""
-    A_ub, b_ub, A_eq, b_eq = model._assemble()
-    bounds = [
-        (None if np.isneginf(lo) else lo, None if np.isposinf(hi) else hi)
-        for lo, hi in zip(model.lower, model.upper)
-    ]
-    res = linprog(
-        c=-model.objective,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs-ds",
-    )
-    status = _STATUS.get(res.status, "iteration_limit")
+    highs = model._sync()
+    highs.run()
+    verdict = highs.getModelStatus()
+    message = highs.modelStatusToString(verdict)
+    status = _STATUS.get(verdict, "iteration_limit")  # time and iteration limits, solver errors
+    if verdict == _MS.kUnboundedOrInfeasible:
+        # Decide by primal feasibility: a zero objective cannot be unbounded.
+        # The next solve pushes the real objective back.
+        highs.changeColsCost(model.ncols, model._cols, np.zeros(model.ncols))
+        highs.run()
+        status = {_MS.kOptimal: "unbounded", _MS.kInfeasible: "infeasible"}.get(highs.getModelStatus(), status)
     if status != "optimal":
-        return LpResult(status, float("nan"), None, None, float("inf"), res.message)
-    x = np.asarray(res.x, dtype=float)
-    viol = _violation(model, x)
+        return LpResult(status, float("nan"), None, float("inf"), message)
+    x = np.asarray(highs.getSolution().col_value, dtype=float)
+    ax = model._matrix @ x
+    gaps = np.concatenate([model.lower - x, x - model.upper, model._row_lo - ax, ax - model._row_hi])
+    viol = float(np.max(gaps, initial=0.0))
     if viol > FEAS_TOL:
-        return LpResult("iteration_limit", float("nan"), None, None, viol, "residuals above tolerance")
-    return LpResult("optimal", float(model.objective @ x), x, None, viol, res.message)
+        return LpResult("iteration_limit", float("nan"), None, viol, "residuals above tolerance")
+    return LpResult("optimal", float(model.objective @ x), x, viol, message)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from scflp.bnc import add_cut_row, build_model
 from scflp.cuts import improved_cut, submodular_cut
@@ -49,6 +50,114 @@ def test_infeasible_and_unbounded_status():
     assert lp_solve(model).status == "infeasible"
     free = LpModel([1.0], [0.0], [np.inf])
     assert lp_solve(free).status == "unbounded"
+
+
+def test_unbounded_or_infeasible_verdict_is_settled():
+    """HiGHS may stop at "unbounded or infeasible"; the backend settles it
+    by primal feasibility instead of guessing either status."""
+    for rhs, expected in ((-1.0, "infeasible"), (1.0, "unbounded")):
+        model = LpModel([1.0, 1.0], [-np.inf, -np.inf], [np.inf, np.inf])
+        model.add_row({0: 1.0, 1: -1.0}, "<=", -1.0)
+        assert lp_solve(model).status == "unbounded"
+        model._highs.setOptionValue("allow_unbounded_or_infeasible", True)
+        model.add_row({0: -1.0, 1: 1.0}, "<=", rhs)
+        assert lp_solve(model).status == expected
+        model.add_row({0: 1.0}, "<=", 5.0)
+        model.add_row({1: 1.0}, "<=", 5.0)
+        res = lp_solve(model)
+        if expected == "infeasible":
+            assert res.status == "infeasible"
+        else:  # the settling solve zeroed the costs; the next solve restores them
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(10.0 - rhs, abs=1e-9)
+
+
+def _linprog_reference(model: LpModel):
+    """Status and objective of the model's current data in a fresh solve
+    by scipy's linprog."""
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for row in model.rows:
+        a = np.zeros(model.ncols)
+        for j, c in row.coef.items():
+            a[j] = c
+        if row.sense == "=":
+            A_eq.append(a)
+            b_eq.append(row.rhs)
+        else:
+            flip = -1.0 if row.sense == ">=" else 1.0
+            A_ub.append(flip * a)
+            b_ub.append(flip * row.rhs)
+    res = linprog(
+        -model.objective,
+        A_ub=np.array(A_ub) if A_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(A_eq) if A_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=list(zip(model.lower, model.upper)),
+        method="highs-ds",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, -res.fun if status == "optimal" else None
+
+
+def _random_row(rng, model: LpModel, anchor: np.ndarray):
+    """Random sparse row of random sense, mostly satisfied at anchor."""
+    cols = rng.choice(model.ncols, size=int(rng.integers(1, model.ncols + 1)), replace=False)
+    coef = {int(j): float(rng.uniform(-1.0, 1.0)) for j in cols}
+    lhs = sum(c * anchor[j] for j, c in coef.items())
+    sense = str(rng.choice(["<=", ">=", "="]))
+    slack = float(rng.uniform(-0.05, 1.0)) if sense != "=" else float(rng.choice([0.0] * 9 + [0.5]))
+    rhs = lhs - slack if sense == ">=" else lhs + slack
+    model.add_row(coef, sense, rhs)
+
+
+def test_warm_backend_matches_linprog_under_model_mutations():
+    """Every mutation the package makes between solves -- rows appended,
+    a slice of bounds fixed and restored as a branch-and-cut node does, the
+    objective reassigned as the hull check does -- leaves the persistent
+    model agreeing with a fresh linprog solve."""
+    rng = np.random.default_rng(97)
+    seen = set()
+
+    def check(model):
+        res = lp_solve(model)
+        status, objective = _linprog_reference(model)
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == pytest.approx(objective, abs=1e-9)
+        seen.add(status)
+
+    for _ in range(30):
+        n = int(rng.integers(3, 9))
+        lower = rng.uniform(-1.0, 0.0, size=n)
+        upper = rng.uniform(0.5, 2.0, size=n)
+        if rng.random() < 0.5:  # one free column
+            free = rng.integers(n)
+            lower[free], upper[free] = -np.inf, np.inf
+        model = LpModel(rng.normal(size=n), lower, upper)
+        anchor = rng.uniform(np.maximum(lower, -1.0), np.minimum(upper, 2.0))
+        for _ in range(int(rng.integers(1, 5))):
+            _random_row(rng, model, anchor)
+        check(model)
+        for _ in range(3):  # cut rounds
+            for _ in range(int(rng.integers(1, 4))):
+                _random_row(rng, model, anchor)
+            check(model)
+        saved_lower, saved_upper = model.lower.copy(), model.upper.copy()
+        for j in rng.choice(n, size=2, replace=False):
+            if rng.random() < 0.5:
+                model.upper[j] = max(model.lower[j], 0.0)
+            else:
+                model.lower[j] = min(model.upper[j], 1.0)
+        check(model)
+        model.lower[:] = saved_lower
+        model.upper[:] = saved_upper
+        check(model)
+        model.objective = rng.normal(size=n)
+        check(model)
+        _random_row(rng, model, anchor)
+        check(model)
+    assert seen == {"optimal", "infeasible", "unbounded"}
 
 
 def test_matches_textbook_tableau_simplex():
