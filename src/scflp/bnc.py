@@ -35,9 +35,6 @@ class BncConfig:
     formulation: str = "GSF"
     time_limit: float = 7200.0
     gap_tol: float = 0.0  # relative; solve certifies (UB - LB)/UB <= gap_tol
-    node_selection: str = "best-bound"
-    branching: str = "most-fractional"
-    seed: int = 0
     sep_rounds: int = 50  # fractional separation rounds per tree node
     root_sep_rounds: int = 10_000  # the root runs its cut loop to convergence
     eps_viol: float = EPS_VIOL

@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     so.add_argument("--form", choices=("SF", "GSF", "EF"), default="GSF")
     so.add_argument("--time-limit", type=float, default=7200.0)
     so.add_argument("--gap", type=float, default=0.0)
-    so.add_argument("--seed", type=int, default=0)
     so.add_argument("--out", default=None)
     so.add_argument("--events", default=None, help="JSON-lines event log path")
 
@@ -111,7 +110,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.path)
-    cfg = BncConfig(formulation=args.form, time_limit=args.time_limit, gap_tol=args.gap, seed=args.seed)
+    cfg = BncConfig(formulation=args.form, time_limit=args.time_limit, gap_tol=args.gap)
     events = open(args.events, "w", encoding="utf-8") if args.events else None
     try:
         report = solve(inst, cfg, events=events)
@@ -183,9 +182,9 @@ def _cmd_verify(args) -> int:
 
 def _bench_task(payload):
     """Worker body: one (instance, formulation) solve to a CSV row."""
-    text, label, form, time_limit, gap, seed = payload
+    text, label, form, time_limit, gap = payload
     inst = load_instance(text)
-    report = solve(inst, BncConfig(formulation=form, time_limit=time_limit, gap_tol=gap, seed=seed))
+    report = solve(inst, BncConfig(formulation=form, time_limit=time_limit, gap_tol=gap))
     return report.csv_row(label), report.status, report.total_time_s, form
 
 
@@ -201,7 +200,7 @@ def _cmd_bench(args) -> int:
         inst = _read_instance(args.path)
         label = Path(args.path).name
         for form in forms:
-            tasks.append((save_instance(inst), label, form, args.time_limit, args.gap, args.seed))
+            tasks.append((save_instance(inst), label, form, args.time_limit, args.gap))
     else:
         idx = 0
         for p in args.p:
@@ -210,7 +209,7 @@ def _cmd_bench(args) -> int:
                 inst = generate_instance(params)
                 label = f"{args.style}_m{args.m}_n{args.n}_p{p}_r{r}_s{args.seed + idx}"
                 for form in forms:
-                    tasks.append((save_instance(inst), label, form, args.time_limit, args.gap, args.seed))
+                    tasks.append((save_instance(inst), label, form, args.time_limit, args.gap))
                 idx += 1
 
     if args.workers > 1:

@@ -82,13 +82,13 @@ def improved_cut(inst: Instance, y, ell, cy: np.ndarray | None = None) -> Cut:
     return Cut("GSF", constant, xcoef, None, ("GSF", _key(y), tuple(int(l) for l in ell)))
 
 
-def _prefix_length(xs: np.ndarray) -> int:
-    """Number of leading sites (in descending-v order) whose fractional mass
-    stays below one; 1 when the very first site is fully open."""
-    if xs[0] >= 1.0 - _UNIT_SLACK:
-        return 1
-    cum = np.cumsum(xs)
-    return int(np.count_nonzero(cum < 1.0 - _UNIT_SLACK))
+def _prefix_lengths(xs_sorted: np.ndarray) -> np.ndarray:
+    """Per row of an (m, n) matrix of LP masses in descending-v order: the
+    number of leading sites whose cumulative mass stays below one; 1 when
+    the very first site is fully open."""
+    k = np.count_nonzero(np.cumsum(xs_sorted, axis=1) < 1.0 - _UNIT_SLACK, axis=1)
+    k[xs_sorted[:, 0] >= 1.0 - _UNIT_SLACK] = 1
+    return k
 
 
 def tight_ell(inst: Instance, xstar, sigma: np.ndarray | None = None) -> np.ndarray:
@@ -98,10 +98,10 @@ def tight_ell(inst: Instance, xstar, sigma: np.ndarray | None = None) -> np.ndar
     choice."""
     sigma = sigma_order(inst) if sigma is None else sigma
     xs = np.clip(np.asarray(xstar, dtype=float), 0.0, 1.0)
-    ell = np.empty(inst.m, dtype=int)
-    for i in range(inst.m):
-        k = _prefix_length(xs[sigma[i]])
-        ell[i] = sigma[i][k] if k < inst.n else inst.n
+    k = _prefix_lengths(xs[sigma])
+    inside = k < inst.n
+    ell = np.full(inst.m, inst.n)
+    ell[inside] = sigma[inside, k[inside]]
     return ell
 
 
@@ -116,10 +116,11 @@ def gsf_separation_costs(inst: Instance, xstar, sigma: np.ndarray | None = None)
     """
     sigma = sigma_order(inst) if sigma is None else sigma
     xs = np.clip(np.asarray(xstar, dtype=float), 0.0, 1.0)
+    lengths = _prefix_lengths(xs[sigma])
     b = np.empty((inst.m, inst.n))
     for i in range(inst.m):
         order = sigma[i]
-        k = _prefix_length(xs[order])
+        k = lengths[i]
         prefix = order[:k]
         vi = inst.v[i]
         vpre = vi[prefix]

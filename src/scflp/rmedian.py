@@ -1,13 +1,28 @@
 """Exact r-median solver: pick r columns of a nonnegative cost matrix
 minimizing the weighted sum of per-row minima.
 
+Every site-set value comes from one evaluator, ``_combo_values``: it folds
+``np.minimum`` over rows of a cached contiguous ``cost.T`` into one
+C-contiguous (K, m) matrix of row minima and sums ``mins * w`` along each
+row.  A row's sum does not depend on K, so ``set_value``,
+``rmedian_enumerate`` and the branch-and-bound leaves give the same set the
+same value bit for bit.  Enumeration and leaves share one chunked scan,
+``_scan``, that keeps the first minimizer in lexicographic order, so ties go
+to the lexicographically smallest set.
+
 The exact path is a best-bound branch-and-bound on site in/out decisions.
-Node bounds come from a small subgradient ascent on the Lagrangian obtained
-by relaxing the one-median-per-customer constraints (each customer must be
+Node bounds come from subgradient ascent on the Lagrangian obtained by
+relaxing the one-median-per-customer constraints (each customer must be
 assigned to exactly one open column); its inner problem picks the q cheapest
 free columns in closed form, which is where the cardinality constraint
-enters.  Incumbents come from greedy construction plus swap local search,
-and small completion sets are enumerated outright.
+enters.  The ascent takes Polyak steps toward the incumbent value, halves
+its step factor after a run of non-improving iterations, stops as soon as
+the node prunes, and starts each child from its parent's best multipliers.
+Costs are nonnegative, so an incumbent of exactly zero can only be tied:
+nodes whose lexicographically smallest completion sorts after it are pruned
+(the zero floor).  Incumbents come from greedy construction plus
+first-improvement swaps, scored in batches by the same evaluator; nodes with
+at most ``enum_chunk`` completions are scanned outright.
 """
 
 from __future__ import annotations
@@ -17,8 +32,15 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+# site sets per evaluator call in a scan; larger blocks raise peak memory
+# (the (K, m) minima matrix) without making the scan faster
+_SCAN_CHUNK = 256
+# non-improving subgradient iterations before the step factor halves
+_STALL_ITERS = 10
 
 
 class CapExceededError(RuntimeError):
@@ -51,18 +73,58 @@ class RMedianInstance:
     def n(self) -> int:
         return self.cost.shape[1]
 
+    @cached_property
+    def cost_t(self) -> np.ndarray:
+        """(n, m) C-contiguous transpose: one site's costs are one row."""
+        return np.ascontiguousarray(self.cost.T)
+
 
 @dataclass(frozen=True)
 class RMedianConfig:
     time_limit: float | None = None
     enum_chunk: int = 4096  # complete a node by enumeration below this size
-    subgrad_iters: int = 25
+    subgrad_iters: int = 200
+
+
+def _tol(u: float) -> float:
+    return 1e-9 * (1.0 + abs(u))
+
+
+def _combo_values(rm: RMedianInstance, combos: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    """Values of the K site sets in the rows of the (K, q) index array
+    ``combos``, each joined with the sites whose row minima are ``base``.
+
+    The row minima form one C-contiguous (K, m) matrix and each value is
+    the sum of one of its rows, which does not depend on K; a
+    matrix-vector product with ``w`` would, in the last bits."""
+    ct = rm.cost_t
+    mins = base
+    for col in combos.T:
+        mins = ct[col] if mins is None else np.minimum(mins, ct[col])
+    return (np.broadcast_to(mins, (len(combos), ct.shape[1])) * rm.w).sum(axis=1)
 
 
 def set_value(rm: RMedianInstance, sites) -> float:
     """Canonical objective evaluator shared by every solution path."""
-    sites = np.asarray(list(sites), dtype=int)
-    return float(rm.w @ rm.cost[:, sites].min(axis=1))
+    return float(_combo_values(rm, np.asarray(list(sites), dtype=np.intp)[None, :])[0])
+
+
+def _scan(rm: RMedianInstance, fin: tuple, free, q: int, base: np.ndarray | None):
+    """Best set among fin joined with q of the sorted ``free`` sites, where
+    ``base`` holds the row minima of fin (None when fin is empty).  Returns
+    (value, sorted sites); ties go to the lexicographically smallest set."""
+    combos = itertools.combinations(free, q)
+    total = math.comb(len(free), q)
+    best_val, best = math.inf, None
+    for start in range(0, total, _SCAN_CHUNK):
+        k = min(_SCAN_CHUNK, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, k))
+        block = np.fromiter(flat, dtype=np.intp, count=k * q).reshape(k, q)
+        vals = _combo_values(rm, block, base)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val, best = float(vals[j]), block[j]
+    return best_val, tuple(sorted(fin + tuple(int(s) for s in best)))
 
 
 def rmedian_enumerate(rm: RMedianInstance, cap: int = 2_000_000):
@@ -71,91 +133,84 @@ def rmedian_enumerate(rm: RMedianInstance, cap: int = 2_000_000):
     total = math.comb(rm.n, rm.r)
     if total > cap:
         raise CapExceededError(f"C({rm.n}, {rm.r}) = {total} exceeds cap {cap}")
-    w = rm.w
-    cols = [rm.cost[:, k] for k in range(rm.n)]
-    best_sites, best_val = None, math.inf
-    for combo in itertools.combinations(range(rm.n), rm.r):
-        val = float(w @ np.minimum.reduce([cols[k] for k in combo]))
-        if val < best_val:
-            best_sites, best_val = combo, val
+    best_val, best_sites = _scan(rm, (), range(rm.n), rm.r, None)
     return np.array(best_sites, dtype=int), best_val
 
 
 def _greedy_swap(rm: RMedianInstance):
-    """Greedy construction followed by best-improvement 1-swaps."""
-    m, n, r = rm.cost.shape[0], rm.n, rm.r
-    chosen: list[int] = []
-    cur = np.full(m, np.inf)
+    """Greedy construction followed by first-improvement 1-swaps; every
+    step scores all candidate sites in one evaluator call."""
+    n, r = rm.n, rm.r
+    is_open = np.zeros(n, dtype=bool)
+    base = None
     for _ in range(r):
-        best_k, best_val = -1, math.inf
-        for k in range(n):
-            if k in chosen:
-                continue
-            val = float(rm.w @ np.minimum(cur, rm.cost[:, k]))
-            if val < best_val:
-                best_k, best_val = k, val
-        chosen.append(best_k)
-        cur = np.minimum(cur, rm.cost[:, best_k])
-    chosen.sort()
+        cand = np.flatnonzero(~is_open)
+        k = int(cand[np.argmin(_combo_values(rm, cand[:, None], base))])
+        is_open[k] = True
+        base = rm.cost[:, k] if base is None else np.minimum(base, rm.cost[:, k])
+    chosen = np.flatnonzero(is_open).tolist()
     best_val = set_value(rm, chosen)
     improved = True
     rounds = 0
     while improved and rounds < 4 * n:
         improved = False
         rounds += 1
-        for a in list(chosen):
+        outside = np.flatnonzero(~is_open)
+        for a in chosen:
             rest = [k for k in chosen if k != a]
-            for b in range(n):
-                if b in chosen:
-                    continue
-                val = set_value(rm, rest + [b])
-                if val < best_val - 1e-15:
-                    chosen = sorted(rest + [b])
-                    best_val = val
-                    improved = True
-                    break
-            if improved:
+            base = rm.cost[:, rest].min(axis=1) if rest else None
+            vals = _combo_values(rm, outside[:, None], base)
+            better = np.flatnonzero(vals < best_val - 1e-15)
+            if better.size:
+                b = int(outside[better[0]])
+                is_open[a], is_open[b] = False, True
+                chosen = sorted(rest + [b])
+                best_val = float(vals[better[0]])
+                improved = True
                 break
-    return tuple(sorted(chosen)), best_val
+    return tuple(chosen), best_val
 
 
-def _lagrangian_bound(t: np.ndarray, n_forced: int, q: int, ub: float, iters: int) -> float:
+def _lagrangian_bound(
+    t: np.ndarray, n_forced: int, q: int, ub: float, iters: int, u: np.ndarray | None = None
+) -> float:
     """Lower bound for choosing q of the free columns (the forced columns
     occupy t[:, :n_forced]).  Valid for any multiplier vector; subgradient
-    ascent just sharpens it."""
-    m = t.shape[0]
-    u = t.min(axis=1).copy()  # start at the trivial row-minimum bound
-    best = -math.inf
-    mu = 1.0
+    ascent with Polyak steps toward ``ub`` sharpens it, and stops once the
+    bound would prune against ``ub``.  A given ``u`` is the starting point
+    and receives the best multipliers found; the default start is the
+    trivial row-minimum bound."""
+    target = ub + _tol(ub)
+    cur = t.min(axis=1) if u is None else u
+    best, best_u = -math.inf, cur
+    mu = 2.0
     stall = 0
     for _ in range(iters):
-        slack = t - u[:, None]
-        neg = np.minimum(slack, 0.0)
-        s = neg.sum(axis=0)
-        forced_part = float(s[:n_forced].sum())
-        free_s = s[n_forced:]
-        free_part = float(np.sort(free_s)[:q].sum()) if q > 0 else 0.0
-        val = float(u.sum()) + forced_part + free_part
-        if val > best + 1e-12:
-            best = val
+        slack = t - cur[:, None]
+        s = np.minimum(slack, 0.0).sum(axis=0)
+        open_cols = np.arange(n_forced)
+        if q > 0:
+            cheapest = np.argpartition(s[n_forced:], q - 1)[:q]
+            open_cols = np.concatenate([open_cols, n_forced + cheapest])
+        val = float(cur.sum()) + float(s[open_cols].sum())
+        if val > best:
+            best, best_u = val, cur
             stall = 0
         else:
             stall += 1
-            if stall >= 3:
+            if stall >= _STALL_ITERS:
                 mu *= 0.5
                 stall = 0
+        if best >= target:
+            break
         # subgradient: 1 - (number of open columns priced below u_i)
-        open_cols = list(range(n_forced))
-        if q > 0:
-            cheapest = np.argsort(free_s, kind="stable")[:q]
-            open_cols += [n_forced + int(k) for k in cheapest]
-        assigned = (slack[:, open_cols] < 0.0).sum(axis=1)
-        g = 1.0 - assigned
+        g = 1.0 - (slack[:, open_cols] < 0.0).sum(axis=1)
         gnorm = float(g @ g)
         if gnorm < 1e-16:
             break
-        step = mu * max(ub - val, 1e-12) / gnorm
-        u = u + step * g
+        cur = cur + (mu * (target - val) / gnorm) * g
+    if u is not None:
+        u[:] = best_u
     return best
 
 
@@ -169,57 +224,46 @@ def rmedian_solve(rm: RMedianInstance, cfg: RMedianConfig | None = None):
     n, r = rm.n, rm.r
     t0 = time.perf_counter()
 
-    incumbent, ub = _greedy_swap(rm)
+    # a search that is one scan at the root needs no starting incumbent
+    incumbent, ub = _greedy_swap(rm) if math.comb(n, r) > cfg.enum_chunk else ((), math.inf)
     t = rm.w[:, None] * rm.cost
 
-    def tol(u: float) -> float:
-        return 1e-9 * (1.0 + abs(u))
-
-    def consider(sites, val):
-        nonlocal incumbent, ub
-        sites = tuple(sorted(int(k) for k in sites))
-        if val < ub or (val == ub and sites < incumbent):
-            incumbent, ub = sites, val
-
-    # heap of (bound, tiebreak, forced_in tuple, forced_out frozenset)
+    # heap of (bound, tiebreak, forced_in tuple, forced_out frozenset,
+    # the parent's best multipliers or None at the root)
     counter = itertools.count()
-    heap = [(0.0, next(counter), (), frozenset())]
+    heap = [(0.0, next(counter), (), frozenset(), None)]
     status = "optimal"
     while heap:
-        bound, _, fin, fout = heapq.heappop(heap)
-        if bound >= ub + tol(ub):
+        bound, _, fin, fout, u = heapq.heappop(heap)
+        if bound >= ub + _tol(ub):
             continue
+        free = [k for k in range(n) if k not in fin and k not in fout]
+        q = r - len(fin)
+        if ub == 0.0 and tuple(sorted(fin + tuple(free[:q]))) > incumbent:
+            continue  # zero floor: every completion ties at best and none sorts first
         if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
             status = "limit"
             break
-        free = [k for k in range(n) if k not in fin and k not in fout]
-        q = r - len(fin)
-        if q == 0:
-            consider(fin, set_value(rm, fin))
-            continue
-        if q == len(free):
-            full = tuple(fin) + tuple(free)
-            consider(full, set_value(rm, full))
-            continue
         if math.comb(len(free), q) <= cfg.enum_chunk:
-            base = rm.cost[:, list(fin)].min(axis=1) if fin else np.full(rm.cost.shape[0], np.inf)
-            for combo in itertools.combinations(free, q):
-                mins = np.minimum(base, rm.cost[:, list(combo)].min(axis=1))
-                consider(tuple(fin) + combo, float(rm.w @ mins))
+            base = rm.cost[:, list(fin)].min(axis=1) if fin else None
+            val, sites = _scan(rm, fin, free, q, base)
+            if val < ub or (val == ub and sites < incumbent):
+                incumbent, ub = sites, val
             continue
         allowed = list(fin) + free
-        node_bound = _lagrangian_bound(t[:, allowed], len(fin), q, ub, cfg.subgrad_iters)
+        sub_t = t[:, allowed]
+        u = sub_t.min(axis=1) if u is None else u.copy()
+        node_bound = _lagrangian_bound(sub_t, len(fin), q, ub, cfg.subgrad_iters, u)
         node_bound = max(node_bound, bound)
-        if node_bound >= ub + tol(ub):
+        if node_bound >= ub + _tol(ub):
             continue
         # branch on the free site with the largest weighted usage among
         # the row minima of the allowed columns
-        sub = rm.cost[:, allowed]
-        argmin = np.asarray(allowed)[np.argmin(sub, axis=1)]
+        argmin = np.asarray(allowed)[np.argmin(rm.cost[:, allowed], axis=1)]
         usage = np.zeros(n)
         np.add.at(usage, argmin, rm.w)
         k_star = max(free, key=lambda k: (usage[k], -k))
-        heapq.heappush(heap, (node_bound, next(counter), tuple(fin) + (k_star,), fout))
-        heapq.heappush(heap, (node_bound, next(counter), fin, fout | {k_star}))
+        heapq.heappush(heap, (node_bound, next(counter), tuple(fin) + (k_star,), fout, u))
+        heapq.heappush(heap, (node_bound, next(counter), fin, fout | {k_star}, u))
 
     return np.array(incumbent, dtype=int), ub, status

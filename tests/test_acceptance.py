@@ -195,6 +195,20 @@ def test_criterion_7_scaled_benchmark():
     _report("criterion 7 scaled benchmark", True, detail)
 
 
+def test_r5_ladder_at_n100():
+    """The r=5 rung of the ladder: biesinger and qi m=n=100, p=r=5, seed 1,
+    reach a proven optimum with GSF and EF, and the two agree."""
+    results = []
+    for style in ("biesinger", "qi"):
+        inst = generate_instance(GeneratorParams(style, m=100, n=100, p=5, r=5, seed=1))
+        reps = {form: solve(inst, BncConfig(formulation=form, time_limit=60.0)) for form in ("GSF", "EF")}
+        for form, rep in reps.items():
+            assert rep.status == "optimal", f"{style} {form} ended {rep.status}"
+        assert abs(reps["GSF"].objective - reps["EF"].objective) <= 1e-9
+        results.append(f"{style} O={reps['GSF'].objective:.6f} [{reps['GSF'].total_time_s:.2f}s/{reps['EF'].total_time_s:.2f}s]")
+    _report("r=5 ladder at n=100", True, "; ".join(results))
+
+
 def test_criterion_7_optional_published_instance():
     path = Path(__file__).parent / "data" / "biesinger_100x100_p2_r2.scflp"
     if not path.exists():

@@ -95,6 +95,30 @@ def test_tight_ell_golden_traces(golden):
     assert cut.constant == pytest.approx(1.0, abs=1e-12)
 
 
+def _tight_ell_per_row(inst, xstar):
+    """Reference: the per-customer loop tight_ell replaced."""
+    sigma = sigma_order(inst)
+    xs = np.clip(np.asarray(xstar, dtype=float), 0.0, 1.0)
+    ell = np.empty(inst.m, dtype=int)
+    for i in range(inst.m):
+        row = xs[sigma[i]]
+        k = 1 if row[0] >= 1.0 - 1e-9 else int(np.count_nonzero(np.cumsum(row) < 1.0 - 1e-9))
+        ell[i] = sigma[i][k] if k < inst.n else inst.n
+    return ell
+
+
+def test_tight_ell_matches_per_row_loop():
+    rng = np.random.default_rng(59)
+    for k in range(200):
+        inst = random_instance(rng, m=int(rng.integers(1, 9)), n=int(rng.integers(2, 9)))
+        x = rng.uniform(0.0, 1.0, size=inst.n) * rng.choice([0.1, 0.5, 1.0])  # some rows never reach 1
+        if k % 3 == 0:
+            x[sigma_order(inst)[0, 0]] = 1.0 - 1e-9  # first site of row 0 counts as open
+        if k % 5 == 0:
+            x = np.round(x, 1)
+        np.testing.assert_array_equal(tight_ell(inst, x), _tight_ell_per_row(inst, x))
+
+
 def test_gsf_costs_golden(golden):
     rm = gsf_separation_costs(golden, [1.0, 1.0, 0.0])
     np.testing.assert_allclose(rm.cost[0], [2 / 3, 1 / 2, 2 / 3], atol=1e-12)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import scflp
 from scflp import RMedianConfig, RMedianInstance, rmedian_enumerate, rmedian_solve
-from scflp.rmedian import CapExceededError, set_value
+from scflp.market import indicator, response_costs
+from scflp.rmedian import CapExceededError, _combo_values, _greedy_swap, _lagrangian_bound, set_value
 
 
 def test_hand_instance_tie_breaks_lexicographically():
@@ -117,3 +119,99 @@ def test_greedy_incumbent_never_below_optimum():
         assert set_value(rm, sites) == val
         _, val_e = rmedian_enumerate(rm)
         assert val >= val_e - 1e-15
+
+
+@pytest.mark.parametrize("m", [1, 5, 37, 300])
+def test_evaluator_is_batch_invariant(m):
+    """A set's value is the same bits alone, inside blocks of any size, and
+    split into forced sites (a row-minimum base) plus the rest."""
+    rng = np.random.default_rng(m)
+    n, q = 40, 3
+    rm = RMedianInstance(cost=rng.uniform(0.0, 4.0, size=(m, n)), w=rng.uniform(0.5, 3.0, size=m), r=q)
+    for _ in range(5):
+        target = np.sort(rng.choice(n, size=q, replace=False))
+        alone = set_value(rm, target)
+        for k in (2, 7, 256, 4096):
+            block = np.array([np.sort(rng.choice(n, size=q, replace=False)) for _ in range(k)])
+            pos = int(rng.integers(k))
+            block[pos] = target
+            assert _combo_values(rm, block)[pos] == alone
+            base = rm.cost[:, target[:1]].min(axis=1)
+            block[pos, 1:] = target[1:]
+            assert _combo_values(rm, block[:, 1:], base)[pos] == alone
+
+
+def test_lagrangian_bound_valid_from_perturbed_warm_start():
+    """Warm-started ascent (as children inherit their parent's multipliers)
+    still never bounds above the enumerated optimum."""
+    rng = np.random.default_rng(53)
+    for _ in range(100):
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(2, 9))
+        r = int(rng.integers(1, n + 1))
+        cost = rng.uniform(0.0, 4.0, size=(m, n))
+        w = rng.uniform(0.5, 3.0, size=m)
+        _, opt = rmedian_enumerate(RMedianInstance(cost=cost, w=w, r=r))
+        t = w[:, None] * cost
+        u = t.min(axis=1) + rng.normal(0.0, 2.0, size=m)
+        start = u.copy()
+        bound = _lagrangian_bound(t, 0, r, ub=opt, iters=30, u=u)
+        assert bound <= opt + 1e-9 * (1 + abs(opt))
+        # the multipliers handed back reproduce a bound at least as good as the start's
+        assert _lagrangian_bound(t, 0, r, ub=opt, iters=1, u=u.copy()) >= _lagrangian_bound(t, 0, r, ub=opt, iters=1, u=start) - 1e-12
+
+
+def test_all_zero_costs_return_first_sites():
+    """Every set ties at zero; the lexicographically smallest one wins."""
+    rm = RMedianInstance(cost=np.zeros((20, 100)), w=np.ones(20), r=3)
+    sites, value, status = rmedian_solve(rm)
+    assert status == "optimal"
+    assert sites.tolist() == [0, 1, 2]
+    assert value == 0.0
+
+
+def test_r5_best_response_at_n100_is_proved():
+    """Biesinger m=n=100, p=r=5, seed 1; the leader opens the 5 sites with
+    the highest total weighted attractiveness."""
+    inst = scflp.generate_instance(scflp.GeneratorParams("biesinger", m=100, n=100, p=5, r=5, seed=1))
+    leader = np.argsort(-(inst.w @ inst.v), kind="stable")[:5]
+    rm = response_costs(inst, indicator(inst.n, leader))
+    sites, value, status = rmedian_solve(rm, RMedianConfig(time_limit=10))
+    assert status == "optimal"
+    assert value == pytest.approx(221.485925, abs=1e-6)
+    assert set_value(rm, sites) == value
+
+
+def _greedy_swap_per_candidate(rm):
+    """Reference: greedy construction and first-improvement swaps scoring
+    one candidate at a time."""
+    chosen = []
+    for _ in range(rm.r):
+        vals = {k: set_value(rm, chosen + [k]) for k in range(rm.n) if k not in chosen}
+        chosen.append(min(vals, key=lambda k: (vals[k], k)))
+    chosen.sort()
+    best = set_value(rm, chosen)
+    improved, rounds = True, 0
+    while improved and rounds < 4 * rm.n:
+        improved, rounds = False, rounds + 1
+        for a in list(chosen):
+            rest = [k for k in chosen if k != a]
+            for b in range(rm.n):
+                if b not in chosen and set_value(rm, rest + [b]) < best - 1e-15:
+                    chosen, best, improved = sorted(rest + [b]), set_value(rm, rest + [b]), True
+                    break
+            if improved:
+                break
+    return tuple(chosen), best
+
+
+def test_greedy_swap_matches_per_candidate_loop():
+    rng = np.random.default_rng(61)
+    for k in range(150):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(2, 16))
+        cost = rng.uniform(0.0, 4.0, size=(m, n))
+        if k % 4 == 0:
+            cost = np.round(cost)  # ties
+        rm = RMedianInstance(cost=cost, w=rng.uniform(0.5, 3.0, size=m), r=int(rng.integers(1, n + 1)))
+        assert _greedy_swap(rm) == _greedy_swap_per_candidate(rm)
