@@ -98,11 +98,7 @@ def build_model(inst: Instance, formulation: str) -> LpModel:
     model = LpModel(obj, lower, upper, names)
     model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p), "card")
     if formulation == "EF":
-        for i in range(m):
-            for j in range(n):
-                model.add_row({zcol(inst, i, j): 1.0, 1 + j: -1.0}, "<=", 0.0, f"open{i}_{j}")
-        for i in range(m):
-            model.add_row({zcol(inst, i, j): 1.0 for j in range(n)}, "<=", 1.0, f"one{i}")
+        add_linking_rows(model, m, n, zcol(inst, 0, 0))
     return model
 
 
@@ -110,20 +106,36 @@ def zcol(inst: Instance, i: int, j: int) -> int:
     return 1 + inst.n + i * inst.n + j
 
 
+def add_linking_rows(model: LpModel, m: int, n: int, first_z: int, tag_suffix: str = "") -> None:
+    """Append the EF linking rows of one m x n allocation block whose z[i, j]
+    sits in column first_z + i*n + j: z_ij - x_j <= 0 for every (i, j), then
+    sum_j z_ij <= 1 for every i (x_j is column 1 + j)."""
+    z = first_z + np.arange(m * n)
+    x = 1 + np.tile(np.arange(n), m)
+    model.add_rows(
+        np.arange(0, 2 * m * n + 1, 2),
+        np.column_stack((z, x)).ravel(),
+        np.tile((1.0, -1.0), m * n),
+        "<=",
+        0.0,
+        [f"open{i}_{j}{tag_suffix}" for i in range(m) for j in range(n)],
+    )
+    model.add_rows(np.arange(0, m * n + 1, n), z, np.ones(m * n), "<=", 1.0, [f"one{i}{tag_suffix}" for i in range(m)])
+
+
+def add_eta_row(model: LpModel, first: int, coef, constant: float, tag: str = "") -> int:
+    """Append eta - sum_k coef[k] * v[first + k] <= constant, coef flattened
+    in row-major order; zero coefficients are dropped."""
+    coef = np.asarray(coef, dtype=float).ravel()
+    cols = np.flatnonzero(coef)
+    index = np.concatenate(([0], first + cols))
+    return model.add_rows((0, index.size), index, np.concatenate(([1.0], -coef[cols])), "<=", constant, (tag,))
+
+
 def add_cut_row(model: LpModel, inst: Instance, cut: Cut) -> int:
-    coef = {0: 1.0}
     if cut.kind == "EF":
-        for i in range(inst.m):
-            for j in range(inst.n):
-                c = cut.zcoef[i, j]
-                if c != 0.0:
-                    coef[zcol(inst, i, j)] = -c
-    else:
-        for j in range(inst.n):
-            c = cut.xcoef[j]
-            if c != 0.0:
-                coef[1 + j] = -c
-    return model.add_row(coef, "<=", cut.constant, f"cut{model.nrows}")
+        return add_eta_row(model, zcol(inst, 0, 0), cut.zcoef, cut.constant, f"cut{model.nrows}")
+    return add_eta_row(model, 1, cut.xcoef, cut.constant, f"cut{model.nrows}")
 
 
 class _Search:

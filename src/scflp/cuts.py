@@ -44,7 +44,7 @@ class Cut:
 
 
 def _key(bits) -> tuple:
-    return tuple(int(b) for b in np.asarray(bits).ravel())
+    return tuple(np.asarray(bits).ravel().astype(np.int64).tolist())
 
 
 def sigma_order(inst: Instance) -> np.ndarray:
@@ -79,7 +79,7 @@ def improved_cut(inst: Instance, y, ell, cy: np.ndarray | None = None) -> Cut:
     anchors[real] = c[np.flatnonzero(real), ell[real]]
     constant = float(inst.w @ anchors)
     xcoef = inst.w @ np.maximum(c - anchors[:, None], 0.0)
-    return Cut("GSF", constant, xcoef, None, ("GSF", _key(y), tuple(int(l) for l in ell)))
+    return Cut("GSF", constant, xcoef, None, ("GSF", _key(y), tuple(ell.tolist())))
 
 
 def _prefix_lengths(xs_sorted: np.ndarray) -> np.ndarray:

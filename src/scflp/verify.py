@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnc import add_cut_row, build_model
+from .bnc import add_cut_row, add_eta_row, add_linking_rows, build_model
 from .cuts import ef_cut, gsf_separation_costs, improved_cut, sigma_order, tight_ell
 from .instance import Instance
 from .lp import LpModel, lp_solve
@@ -52,11 +52,17 @@ def _anchor_polytope(inst: Instance, y) -> LpModel:
     upper = np.concatenate(([np.inf], np.ones(inst.n)))
     model = LpModel(obj, lower, upper, ["eta"] + [f"x{j}" for j in range(inst.n)])
     cy = compute_cy(inst, y)
-    for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
-        cut = improved_cut(inst, y, np.array(ell), cy)
-        coef = {0: 1.0}
-        coef.update({1 + j: -c for j, c in enumerate(cut.xcoef) if c != 0.0})
-        model.add_row(coef, "<=", cut.constant)
+    cuts = [improved_cut(inst, y, np.array(ell), cy) for ell in itertools.product(range(inst.n + 1), repeat=inst.m)]
+    # dense rows [1, -xcoef] over (eta, x); add_rows drops the zeros
+    dense = np.ones((len(cuts), 1 + inst.n))
+    dense[:, 1:] = -np.array([cut.xcoef for cut in cuts])
+    model.add_rows(
+        np.arange(0, dense.size + 1, 1 + inst.n),
+        np.tile(np.arange(1 + inst.n), len(cuts)),
+        dense.ravel(),
+        "<=",
+        [cut.constant for cut in cuts],
+    )
     return model
 
 
@@ -68,17 +74,8 @@ def _assignment_polytope(inst: Instance, y) -> LpModel:
     upper = np.concatenate(([np.inf], np.ones(n + m * n)))
     names = ["eta"] + [f"x{j}" for j in range(n)] + [f"z{i}_{j}" for i in range(m) for j in range(n)]
     model = LpModel(obj, lower, upper, names)
-    for i in range(m):
-        for j in range(n):
-            model.add_row({1 + n + i * n + j: 1.0, 1 + j: -1.0}, "<=", 0.0)
-    for i in range(m):
-        model.add_row({1 + n + i * n + j: 1.0 for j in range(n)}, "<=", 1.0)
-    cut = ef_cut(inst, y)
-    coef = {0: 1.0}
-    for i in range(m):
-        for j in range(n):
-            coef[1 + n + i * n + j] = -cut.zcoef[i, j]
-    model.add_row(coef, "<=", 0.0)
+    add_linking_rows(model, m, n, 1 + n)
+    add_cut_row(model, inst, ef_cut(inst, y))
     return model
 
 
@@ -209,17 +206,8 @@ def verify_aggregation(inst: Instance, trials: int = 5, seed: int = 0, y_cap: in
     model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p))
     for t, y in enumerate(y_list):
         base = 1 + n + t * m * n
-        cy = compute_cy(inst, y)
-        for i in range(m):
-            for j in range(n):
-                model.add_row({base + i * n + j: 1.0, 1 + j: -1.0}, "<=", 0.0)
-        for i in range(m):
-            model.add_row({base + i * n + j: 1.0 for j in range(n)}, "<=", 1.0)
-        coef = {0: 1.0}
-        for i in range(m):
-            for j in range(n):
-                coef[base + i * n + j] = -inst.w[i] * cy[i, j]
-        model.add_row(coef, "<=", 0.0)
+        add_linking_rows(model, m, n, base, f"_y{t}")
+        add_eta_row(model, base, ef_cut(inst, y).zcoef, 0.0)
     disagg = lp_solve(model)
     if disagg.status != "optimal":
         raise RuntimeError("disaggregated-allocation LP failed")

@@ -9,7 +9,7 @@ import pytest
 from scflp import BncConfig, brute_force_solve, follower_best_response, root_relaxation, solve
 from scflp.bnc import add_cut_row, build_model
 from scflp.cuts import ef_cut
-from scflp.lp import lp_solve
+from scflp.lp import LpModel, lp_solve
 from scflp.market import indicator, leader_share
 
 from conftest import random_instance
@@ -158,3 +158,26 @@ def test_gap_tolerance_terminates_early():
     assert loose.status == "optimal"
     assert loose.objective <= tight.objective + 1e-9
     assert tight.objective == pytest.approx(brute_force_solve(inst).value, abs=1e-9)
+
+
+def _row_records(model):
+    return [(r.tag, r.sense, r.rhs, list(r.coef.items())) for r in model.rows]
+
+
+def test_bulk_ef_model_matches_per_row_reference(golden):
+    """build_model's bulk EF linking rows equal the rows appended one dict
+    at a time: same order, tags, columns and values."""
+    rng = np.random.default_rng(83)
+    for inst in (golden, random_instance(rng, m=4, n=5), random_instance(rng, m=1, n=7)):
+        model = build_model(inst, "EF")
+        ref = LpModel(model.objective, model.lower, model.upper, model.names)
+        m, n = inst.m, inst.n
+        ref.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p), "card")
+        for i in range(m):
+            for j in range(n):
+                ref.add_row({1 + n + i * n + j: 1.0, 1 + j: -1.0}, "<=", 0.0, f"open{i}_{j}")
+        for i in range(m):
+            ref.add_row({1 + n + i * n + j: 1.0 for j in range(n)}, "<=", 1.0, f"one{i}")
+        assert model.nrows == 1 + m * n + m
+        assert _row_records(model) == _row_records(ref)
+        assert model.to_lp_text() == ref.to_lp_text()

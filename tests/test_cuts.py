@@ -5,6 +5,7 @@ import pytest
 
 from scflp import compute_cy, leader_share
 from scflp.cuts import (
+    _key,
     ef_cut,
     ef_separation_costs,
     gsf_separation_costs,
@@ -277,3 +278,26 @@ def test_cut_coefficients_nonnegative_and_finite():
         for arr in (sf.xcoef, gsf.xcoef, ef.zcoef):
             assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
         assert sf.constant >= 0 and gsf.constant >= 0
+
+
+def test_provenance_keys_match_generator_version():
+    """The array-built keys equal the element-by-element tuples in value
+    and element type, whatever the input dtype."""
+    bits = [1, 0, 1, 1, 0]
+    for arr in (
+        np.array(bits, dtype=np.int8),
+        np.array(bits, dtype=np.int64),
+        np.array(bits, dtype=float),
+        np.array(bits, dtype=bool),
+        np.array([[1, 0], [0, 1]], dtype=np.int8),
+        bits,
+    ):
+        key = _key(arr)
+        reference = tuple(int(b) for b in np.asarray(arr).ravel())
+        assert key == reference
+        assert [type(b) for b in key] == [int] * len(reference)
+    inst = random_instance(np.random.default_rng(5), m=4, n=3)
+    for ell in (np.array([0, 3, 2, 1], dtype=np.int8), [3, 3, 0, 1], np.array([2.0, 0.0, 1.0, 3.0])):
+        prov = improved_cut(inst, np.array([1, 0, 1], dtype=np.int8), ell).provenance
+        assert prov == ("GSF", (1, 0, 1), tuple(int(l) for l in np.asarray(ell, dtype=int)))
+        assert all(type(l) is int for l in prov[2])

@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from scflp.bnc import add_cut_row, build_model
-from scflp.cuts import improved_cut, submodular_cut
+from scflp.cuts import ef_cut, improved_cut, submodular_cut
 from scflp.lp import LpModel, lp_solve
 
 from conftest import golden_instance
@@ -219,3 +220,155 @@ def test_lp_text_dump(golden):
     assert "-inf <= eta <= 3" in text
     # cut row carries 12-significant-digit coefficients
     assert "0.166666666667" in text
+
+
+def _row_records(model: LpModel):
+    """Rows with their coefficients in stored order (LpRow equality would
+    ignore the order of a dict)."""
+    return [(r.tag, r.sense, r.rhs, list(r.coef.items())) for r in model.rows]
+
+
+def test_add_rows_matches_add_row_loop():
+    """One bulk append and a loop of single-row appends build the same
+    model: rows, LP text and every solve bit for bit.  The rows include an
+    empty row, explicit zeros and all three senses, and 300 rows grow the
+    store through several capacity doublings."""
+    rng = np.random.default_rng(71)
+    n = 6
+    objective = rng.normal(size=n)
+    lower, upper = -np.ones(n), 2.0 * np.ones(n)
+    anchor = rng.uniform(-0.5, 1.0, size=n)
+    indptr, index, value, senses, rhs, tags = [0], [], [], [], [], []
+    for t in range(300):
+        size = 0 if t == 5 else int(rng.integers(1, n + 1))
+        cols = rng.choice(n, size=size, replace=False)
+        coefs = rng.uniform(-1.0, 1.0, size=size)
+        coefs[rng.random(size) < 0.2] = 0.0  # explicit zeros
+        sense = ("<=", ">=", "=")[t % 3] if t % 7 else "<="
+        lhs = float(coefs @ anchor[cols])
+        index += cols.tolist()
+        value += coefs.tolist()
+        indptr.append(len(index))
+        senses.append(sense)
+        rhs.append(lhs if sense == "=" else lhs + (0.5 if sense == "<=" else -0.5))
+        tags.append(f"r{t}" if t % 2 else "")
+
+    looped = LpModel(objective, lower, upper)
+    bulk = LpModel(objective, lower, upper)
+    for step in (37, 300):  # two batches, each followed by a solve
+        first = looped.nrows
+        for t in range(first, step):
+            s, e = indptr[t], indptr[t + 1]
+            looped.add_row(dict(zip(index[s:e], value[s:e])), senses[t], rhs[t], tags[t])
+        base = indptr[first]
+        assert bulk.add_rows(
+            np.asarray(indptr[first : step + 1]) - base,
+            index[base : indptr[step]],
+            value[base : indptr[step]],
+            senses[first:step],
+            rhs[first:step],
+            tags[first:step],
+        ) == first
+        assert bulk.nrows == looped.nrows == step
+        assert _row_records(bulk) == _row_records(looped)
+        assert bulk.to_lp_text() == looped.to_lp_text()
+        a, b = lp_solve(looped), lp_solve(bulk)
+        assert a.status == b.status == "optimal"
+        assert a.objective == b.objective
+        np.testing.assert_array_equal(a.x, b.x)
+    assert bulk.rows[5].coef == {}
+    assert all(c != 0.0 for row in bulk.rows for c in row.coef.values())
+
+
+def test_add_rows_validates_like_add_row():
+    model = LpModel([1.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="bad row sense"):
+        model.add_rows((0, 1, 2), (0, 1), (1.0, 1.0), ["<=", "=<"], 1.0)
+    with pytest.raises(ValueError, match="invalid column 2"):
+        model.add_rows((0, 1, 2), (0, 2), (1.0, 1.0), "<=", 1.0)
+    with pytest.raises(ValueError, match="invalid column -1"):
+        model.add_row({-1: 1.0}, "<=", 1.0)
+    with pytest.raises(ValueError, match="malformed"):
+        model.add_rows((0, 3), (0, 1), (1.0, 1.0), "<=", 1.0)
+    model.add_row({0: 1.0, 7: 0.0}, "<=", 1.0)  # a zero on a bad column is dropped, as before
+    assert model.nrows == 1 and model.rows[0].coef == {0: 1.0}
+
+
+def test_non_finite_row_data_rejected_at_append():
+    """A NaN coefficient used to pass HiGHS and come back "optimal" with a
+    nan residual; non-finite data is now refused when the row is added,
+    with the offending row named."""
+    model = LpModel([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    model.add_row({0: 1.0}, "<=", 1.0)
+    for coef, rhs in (({0: 1.0, 1: np.nan}, 1.0), ({1: np.inf}, 1.0), ({0: 1.0}, np.nan), ({0: 1.0}, -np.inf)):
+        with pytest.raises(ValueError, match=r"row 1 \('bad'\) has a non-finite"):
+            model.add_row(coef, "<=", rhs, "bad")
+    with pytest.raises(ValueError, match=r"row 3 \(''\) has a non-finite coefficient"):
+        model.add_rows((0, 1, 2, 3), (0, 1, 0), (1.0, 1.0, -np.inf), "<=", 1.0)
+    assert model.nrows == 1
+    res = lp_solve(model)
+    assert res.status == "optimal" and res.objective == pytest.approx(2.0, abs=1e-12)
+
+
+def test_nan_residual_is_never_optimal():
+    """The residual gate fails unless the violation is at most the
+    tolerance, so a nan residual cannot pass as optimal."""
+    model = LpModel([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.5)
+    assert lp_solve(model).status == "optimal"
+    model._value[1] = np.nan  # the model's own copy only; HiGHS keeps 1.0
+    res = lp_solve(model)
+    assert res.status == "iteration_limit"
+    assert res.message == "residuals above tolerance"
+    assert math.isnan(res.max_violation)
+
+
+def test_residual_gate_is_independent_of_highs():
+    """Loosening a row inside HiGHS only leaves the model's arrays, and
+    with them the residual check, unchanged: the solve is refused."""
+    model = LpModel([1.0, 1.0], [0.0, 0.0], [10.0, 10.0])
+    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
+    model.add_row({0: 1.0}, ">=", 0.25)
+    res = lp_solve(model)
+    assert res.status == "optimal" and res.objective == pytest.approx(1.0, abs=1e-12)
+    model._highs.changeRowBounds(0, -np.inf, 5.0)
+    res = lp_solve(model)
+    assert res.status == "iteration_limit"
+    assert res.message == "residuals above tolerance"
+    assert res.max_violation == pytest.approx(4.0, abs=1e-9)
+    assert model.rows[0].rhs == 1.0
+
+
+def _dict_cut_row(inst, cut) -> dict:
+    """The cut row as a {column: coefficient} dict, built cell by cell."""
+    coef = {0: 1.0}
+    if cut.kind == "EF":
+        for i in range(inst.m):
+            for j in range(inst.n):
+                if cut.zcoef[i, j] != 0.0:
+                    coef[1 + inst.n + i * inst.n + j] = -cut.zcoef[i, j]
+    else:
+        for j in range(inst.n):
+            if cut.xcoef[j] != 0.0:
+                coef[1 + j] = -cut.xcoef[j]
+    return coef
+
+
+def test_add_cut_row_matches_dict_reference(golden):
+    cuts = [
+        ("SF", submodular_cut(golden, Y_ALL, [1])),
+        ("SF", submodular_cut(golden, [1, 0, 1], [])),
+        ("GSF", improved_cut(golden, Y_ALL, np.array([0, 1, 3]))),
+        ("GSF", improved_cut(golden, [0, 1, 1], np.array([2, 2, 0]))),
+        ("EF", ef_cut(golden, Y_ALL)),
+        ("EF", ef_cut(golden, [1, 0, 0])),
+    ]
+    for form, cut in cuts:
+        model = build_model(golden, form)
+        k = add_cut_row(model, golden, cut)
+        assert k == model.nrows - 1
+        row = model.rows[k]
+        expected = _dict_cut_row(golden, cut)
+        assert list(row.coef) == list(expected)
+        assert list(row.coef.values()) == list(expected.values())
+        assert (row.sense, row.rhs, row.tag) == ("<=", cut.constant, f"cut{k}")

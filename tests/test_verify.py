@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from scflp import Instance
+from scflp import Instance, compute_cy
+from scflp.cuts import ef_cut, improved_cut
 from scflp.verify import (
     _anchor_polytope,
     _assignment_polytope,
@@ -134,3 +137,30 @@ def test_greedy_assignment_structure(golden):
     z_frac = greedy_assignment(golden, np.array([0.25, 0.5, 0.25]))
     assert np.all(z_frac.sum(axis=1) <= 1.0 + 1e-12)
     assert np.all(z_frac <= np.array([0.25, 0.5, 0.25]) + 1e-12)
+
+
+def test_verify_polytopes_match_per_row_reference():
+    """The bulk-built hull-check models hold the rows the per-row builders
+    appended, in the same order and with the same coefficients."""
+    rng = np.random.default_rng(89)
+    for _ in range(5):
+        inst = random_instance(rng, m=int(rng.integers(2, 4)), n=int(rng.integers(2, 5)))
+        y = random_choice(rng, inst.n, inst.r)
+        cy = compute_cy(inst, y)
+        anchor = _anchor_polytope(inst, y)
+        expected = []
+        for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
+            cut = improved_cut(inst, y, np.array(ell), cy)
+            coef = {0: 1.0}
+            coef.update({1 + j: -c for j, c in enumerate(cut.xcoef) if c != 0.0})
+            expected.append(("<=", cut.constant, list(coef.items())))
+        assert [(r.sense, r.rhs, list(r.coef.items())) for r in anchor.rows] == expected
+
+        m, n = inst.m, inst.n
+        assign = _assignment_polytope(inst, y)
+        expected = [("<=", 0.0, [(1 + n + i * n + j, 1.0), (1 + j, -1.0)]) for i in range(m) for j in range(n)]
+        expected += [("<=", 1.0, [(1 + n + i * n + j, 1.0) for j in range(n)]) for i in range(m)]
+        zcoef = ef_cut(inst, y).zcoef
+        cells = [(1 + n + i * n + j, -zcoef[i, j]) for i in range(m) for j in range(n) if zcoef[i, j] != 0.0]
+        expected.append(("<=", 0.0, [(0, 1.0)] + cells))
+        assert [(r.sense, r.rhs, list(r.coef.items())) for r in assign.rows] == expected
