@@ -23,7 +23,18 @@ HiGHS's copy, and numerical trouble surfaces as status "iteration_limit".
 
 HiGHS is driven through scipy's private ``scipy.optimize._highspy._core._Highs``
 class because the public ``linprog`` builds a fresh model on every call and
-keeps no basis; pyproject.toml pins the scipy range that offers its methods.
+keeps no basis; pyproject.toml pins the scipy range that offers its methods
+and that keeps the binding at ``scipy/optimize/_highspy/_core<suffix>``.
+The binding is loaded from that file, found with
+``importlib.util.find_spec("scipy")`` (which locates scipy without importing
+it), and registered in ``sys.modules`` under its own name before it runs.
+Importing it the ordinary way would first run ``scipy/optimize/__init__.py``,
+which pulls in linalg, sparse, special, fft and linprog: about three
+quarters of the package's import time, for one extension that loads in a
+few milliseconds.  There is no other import path.  If
+``scipy.optimize`` was imported first, its module is reused; if it is
+imported later, it finds this one.  Either way the process holds one
+binding and one ``_Highs`` type.
 
 ``to_lp_text`` renders a model in the LP interchange format (Maximize /
 Subject To / Bounds / End sections, one row per line, ``<=``, ``>=``, ``=``
@@ -33,11 +44,43 @@ model this package builds.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs_core
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """scipy's HiGHS binding, without running scipy.optimize's package
+    import; see the module docstring."""
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scflp needs scipy, which is not installed")
+    folders = [Path(d, "optimize", "_highspy") for d in scipy_spec.submodule_search_locations or ()]
+    paths = [f / f"_core{suffix}" for f in folders for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no HiGHS binding _core{EXTENSION_SUFFIXES[0]} in {', '.join(map(str, folders))}")
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return module
+
+
+highs_core = _load_highs_core()
 
 FEAS_TOL = 1e-7
 
@@ -128,8 +171,8 @@ class LpModel:
         and rhs are one value for every row or one per row; tags is None
         (empty tags) or one string per row.  Zero coefficients are dropped
         and the rest kept in the order given; the columns of a row must be
-        distinct (HiGHS refuses repeats when the rows reach it).  Returns
-        the first new row's index."""
+        distinct.  Invalid data raises ValueError and leaves the model
+        unchanged.  Returns the first new row's index."""
         indptr = np.asarray(indptr, dtype=np.int64)
         index = np.asarray(index, dtype=np.int64)
         value = np.asarray(value, dtype=float)
@@ -171,15 +214,26 @@ class LpModel:
         if index.size and (index.min() < 0 or index.max() >= self.ncols):
             bad = index[(index < 0) | (index >= self.ncols)][0]
             raise ValueError(f"row references invalid column {bad}")
+        r1 = r0 + k
+        row_id = np.repeat(np.arange(r0, r1), counts)
+        # HiGHS refuses a row that repeats a column; (row, column) keys that
+        # rise strictly have no repeat, others are sorted to find one
+        key = row_id * self.ncols + index
+        if np.count_nonzero(key[1:] <= key[:-1]):
+            key.sort()
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                r, j = divmod(int(key[dup[0]]), self.ncols)
+                raise ValueError(f"row {r} ({tags[r - r0]!r}) repeats column {j}")
 
-        r1, n0 = r0 + k, self._nnz
+        n0 = self._nnz
         n1 = n0 + index.size
         self._index, self._value, self._row_id = (_fit(a, n1) for a in (self._index, self._value, self._row_id))
         self._start = _fit(self._start, r1 + 1)
         self._row_lo, self._row_hi = _fit(self._row_lo, r1), _fit(self._row_hi, r1)
         self._index[n0:n1] = index
         self._value[n0:n1] = value
-        self._row_id[n0:n1] = np.repeat(np.arange(r0, r1), counts)
+        self._row_id[n0:n1] = row_id
         self._start[r0 + 1 : r1 + 1] = n0 + indptr[1:]
         self._row_lo[r0:r1] = np.where(sense == "<=", -np.inf, rhs)
         self._row_hi[r0:r1] = np.where(sense == ">=", np.inf, rhs)

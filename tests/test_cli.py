@@ -71,6 +71,32 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_outputs_exit_2_before_solving(golden_file, tmp_path, capsys, monkeypatch):
+    """An --out or --events path that cannot be opened ends with one error
+    line and exit code 2; solve and bench check theirs before any search."""
+    import scflp.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran although its output cannot be written")
+
+    monkeypatch.setattr(scflp.cli, "solve", no_solve)
+    bad = str(tmp_path / "missing" / "out.txt")
+    runs = (
+        ["solve", "--in", golden_file, "--events", bad],
+        ["solve", "--in", golden_file, "--out", bad],
+        ["generate", "--m", "4", "--n", "4", "--p", "2", "--r", "2", "--out", bad],
+        ["bench", "--in", golden_file, "--form", "GSF", "--out", bad],
+    )
+    for argv in runs:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {bad}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_bad_check_list_exits_2(golden_file, capsys):
     assert main(["verify", "--in", golden_file, "--checks", "hull,nonsense"]) == 2
     capsys.readouterr()

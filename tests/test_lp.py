@@ -310,6 +310,26 @@ def test_non_finite_row_data_rejected_at_append():
     assert res.status == "optimal" and res.objective == pytest.approx(2.0, abs=1e-12)
 
 
+def test_repeated_column_rejected_at_append():
+    """A row naming one column twice used to be accepted, and then every
+    later solve of the model failed in HiGHS's addRows.  It is refused at
+    append time, naming the row, and the model stays as it was."""
+    model = LpModel([1.0, 1.0, 1.0], [0.0] * 3, [1.0] * 3)
+    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.5, "cap")
+    with pytest.raises(ValueError, match=r"row 1 \('dup'\) repeats column 0"):
+        model.add_rows((0, 3), (0, 1, 0), (1.0, 1.0, 1.0), "<=", 1.0, ("dup",))
+    with pytest.raises(ValueError, match=r"row 2 \('b'\) repeats column 2"):
+        model.add_rows((0, 2, 5), (0, 1, 2, 1, 2), (1.0,) * 5, "<=", 1.0, ("a", "b"))
+    assert model.nrows == 1 and model.rows[0].coef == {0: 1.0, 1: 1.0}
+    # a repeat whose coefficient is zero is dropped before the check
+    model.add_rows((0, 3), (2, 0, 2), (1.0, 1.0, 0.0), "<=", 2.0, ("ok",))
+    assert model.rows[1].coef == {2: 1.0, 0: 1.0}
+    res = lp_solve(model)
+    assert res.status == "optimal" and res.objective == pytest.approx(2.5, abs=1e-12)
+    ref = linprog(-model.objective, A_ub=[[1, 1, 0], [1, 0, 1]], b_ub=[1.5, 2.0], bounds=[(0, 1)] * 3, method="highs-ds")
+    assert res.objective == pytest.approx(-ref.fun, abs=1e-12)
+
+
 def test_nan_residual_is_never_optimal():
     """The residual gate fails unless the violation is at most the
     tolerance, so a nan residual cannot pass as optimal."""
