@@ -23,9 +23,9 @@ import numpy as np
 from .cuts import Cut, ef_cut, improved_cut, sigma_order, submodular_cut, tight_ell
 from .instance import Instance
 from .lp import LpModel, lp_solve
-from .market import follower_best_response, indicator
+from .market import follower_best_response, indicator, response_costs
 from .rmedian import RMedianConfig
-from .separation import EPS_VIOL, FollowerPool, RelaxPoint, is_integral, separate_ef, separate_gsf, separate_sf
+from .separation import EPS_VIOL, FollowerPool, RelaxPoint, separate_ef, separate_gsf, separate_sf
 
 FORMULATIONS = ("SF", "GSF", "EF")
 
@@ -127,9 +127,13 @@ def add_eta_row(model: LpModel, first: int, coef, constant: float, tag: str = ""
     """Append eta - sum_k coef[k] * v[first + k] <= constant, coef flattened
     in row-major order; zero coefficients are dropped."""
     coef = np.asarray(coef, dtype=float).ravel()
-    cols = np.flatnonzero(coef)
-    index = np.concatenate(([0], first + cols))
-    return model.add_rows((0, index.size), index, np.concatenate(([1.0], -coef[cols])), "<=", constant, (tag,))
+    cols = coef.nonzero()[0]
+    index = np.empty(cols.size + 1, np.int64)
+    value = np.empty(cols.size + 1)
+    index[0], value[0] = 0, 1.0
+    np.add(cols, first, out=index[1:])
+    np.negative(coef[cols], out=value[1:])
+    return model.add_rows((0, index.size), index, value, "<=", constant, (tag,))
 
 
 def add_cut_row(model: LpModel, inst: Instance, cut: Cut) -> int:
@@ -169,7 +173,7 @@ class _Search:
         z = None
         if self.cfg.formulation == "EF":
             z = res.x[1 + n :].reshape(self.inst.m, n)
-        return RelaxPoint(eta=res.x[0], x=x, z=z)
+        return RelaxPoint(eta=res.x[0], x=x, z=z, int_tol=self.cfg.int_tol)
 
     def separate(self, pt: RelaxPoint) -> list[Cut]:
         t = time.perf_counter()
@@ -179,9 +183,19 @@ class _Search:
         elif form == "GSF":
             cuts = separate_gsf(pt, self.inst, self.pool, self.cfg.eps_viol, self.sigma, self.cfg.rmedian)
         else:
-            cuts = separate_ef(pt, self.inst, self.cfg.eps_viol, self.cfg.rmedian)
+            cuts = separate_ef(pt, self.inst, self.cfg.eps_viol, self.cfg.rmedian, self.pool)
         self.sep_time += time.perf_counter() - t
         return cuts
+
+    def best_response(self, xint: np.ndarray):
+        """Exact follower best response to the integral leader choice xint:
+        (y, value).  The last exact separation solve is reused when its
+        r-median costs are bit-identical to the best response's (same
+        instance, so the same weights and r): the solver is deterministic."""
+        last = self.pool.last_solve
+        if last is not None and np.array_equal(last[0].cost, response_costs(self.inst, xint).cost):
+            return indicator(self.inst.n, last[1]), last[2]
+        return follower_best_response(self.inst, xint, mode="rmedian", cfg=self.cfg.rmedian)
 
     def install(self, cuts: list[Cut]) -> int:
         fresh = 0
@@ -213,13 +227,12 @@ class _Search:
             if _dominated(obj, lb, self.cfg.gap_tol):
                 return "dominated", obj, None
             pt = self.point(res)
-            integral = is_integral(pt.x, self.cfg.int_tol)
             if self.out_of_time():
                 return "timeout", obj, pt
             fresh = self.install(self.separate(pt))
             if fresh == 0:
-                return ("certified" if integral else "branch"), obj, pt
-            if not integral:
+                return ("certified" if pt.integral else "branch"), obj, pt
+            if not pt.integral:
                 frac_rounds += 1
                 if frac_rounds >= cap:
                     return "branch", obj, pt  # round cap; branch at the last point
@@ -299,7 +312,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
                 if outcome != "certified":
                     break
                 xint = np.round(pt.x).astype(np.int8)
-                y_star, val = follower_best_response(inst, xint, mode="rmedian", cfg=cfg.rmedian)
+                y_star, val = search.best_response(xint)
                 if obj <= val + 2e-10 * (1.0 + abs(val)):
                     incumbent_candidate = (xint, val)
                     break

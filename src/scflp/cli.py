@@ -1,9 +1,9 @@
 """Command-line front end: generate, solve, oracle, verify, bench.
 
-Exit codes: 0 success, 1 a solve finished on a limit, 2 usage errors,
-unreadable inputs or unwritable outputs.  All numeric output uses fixed
-formats so repeated runs with identical seeds and limits produce identical
-result columns.
+Exit codes: 0 success, 1 a solve finished on a limit or a ``verify`` check
+reported FAIL, 2 usage errors, unreadable inputs or unwritable outputs.
+All numeric output uses fixed formats so repeated runs with identical seeds
+and limits produce identical result columns.
 """
 
 from __future__ import annotations

@@ -24,6 +24,10 @@ from .rmedian import RMedianInstance
 
 # prefix mass of an LP point is treated as reaching 1 within this slack
 _UNIT_SLACK = 1e-9
+# the separation-cost kernels work on blocks of customers whose
+# (block, n, n) temporary takes about this many bytes: a few blocks fit in
+# cache, and the whole (m, n, n) array at m = n = 100 would take 8 MB
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ def improved_cut(inst: Instance, y, ell, cy: np.ndarray | None = None) -> Cut:
     ell = np.asarray(ell, dtype=int)
     anchors = np.zeros(inst.m)
     real = ell < inst.n
-    anchors[real] = c[np.flatnonzero(real), ell[real]]
+    anchors[real] = c[real, ell[real]]
     constant = float(inst.w @ anchors)
     xcoef = inst.w @ np.maximum(c - anchors[:, None], 0.0)
     return Cut("GSF", constant, xcoef, None, ("GSF", _key(y), tuple(ell.tolist())))
@@ -86,7 +90,7 @@ def _prefix_lengths(xs_sorted: np.ndarray) -> np.ndarray:
     """Per row of an (m, n) matrix of LP masses in descending-v order: the
     number of leading sites whose cumulative mass stays below one; 1 when
     the very first site is fully open."""
-    k = np.count_nonzero(np.cumsum(xs_sorted, axis=1) < 1.0 - _UNIT_SLACK, axis=1)
+    k = (xs_sorted.cumsum(axis=1) < 1.0 - _UNIT_SLACK).sum(axis=1)
     k[xs_sorted[:, 0] >= 1.0 - _UNIT_SLACK] = 1
     return k
 
@@ -97,12 +101,34 @@ def tight_ell(inst: Instance, xstar, sigma: np.ndarray | None = None) -> np.ndar
     when the whole row's mass stays below one.  Independent of the follower
     choice."""
     sigma = sigma_order(inst) if sigma is None else sigma
-    xs = np.clip(np.asarray(xstar, dtype=float), 0.0, 1.0)
+    xs = np.asarray(xstar, dtype=float).clip(0.0, 1.0)
     k = _prefix_lengths(xs[sigma])
     inside = k < inst.n
     ell = np.full(inst.m, inst.n)
     ell[inside] = sigma[inside, k[inside]]
     return ell
+
+
+def _ratio_sums(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[i, k] = sum_j a[i, j] / (u[i, j] + v[i, k]) for (m, q) arrays a
+    and u and an (m, n) array v.  Columns where a is all zero add nothing
+    and are dropped; customers go in blocks that share one (block, q, n)
+    buffer of about _BLOCK_BYTES."""
+    cols = a.any(axis=0).nonzero()[0]
+    a, u = a[:, cols], u[:, cols]
+    (m, q), n = a.shape, v.shape[1]
+    out = np.zeros((m, n))
+    if q == 0:
+        return out
+    step = max(1, _BLOCK_BYTES // (8 * q * n))
+    buf = np.empty((min(step, m), q, n))
+    for s in range(0, m, step):
+        e = min(s + step, m)
+        recip = buf[: e - s]
+        np.add(u[s:e, :, None], v[s:e, None, :], out=recip)
+        np.divide(1.0, recip, out=recip)
+        np.matmul(a[s:e, None, :], recip, out=out[s:e, None, :])
+    return out
 
 
 def gsf_separation_costs(inst: Instance, xstar, sigma: np.ndarray | None = None) -> RMedianInstance:
@@ -115,19 +141,16 @@ def gsf_separation_costs(inst: Instance, xstar, sigma: np.ndarray | None = None)
     vanishes when the prefix spans the whole row.
     """
     sigma = sigma_order(inst) if sigma is None else sigma
-    xs = np.clip(np.asarray(xstar, dtype=float), 0.0, 1.0)
-    lengths = _prefix_lengths(xs[sigma])
-    b = np.empty((inst.m, inst.n))
-    for i in range(inst.m):
-        order = sigma[i]
-        k = lengths[i]
-        prefix = order[:k]
-        vi = inst.v[i]
-        vpre = vi[prefix]
-        mass = float(xs[prefix].sum())
-        rest = max(1.0 - mass, 0.0)
-        vnext = vi[order[k]] if k < inst.n else 0.0
-        b[i] = rest * vnext / (vnext + vi) + (xs[prefix] * vpre) @ (1.0 / (vpre[:, None] + vi[None, :]))
+    xs = np.asarray(xstar, dtype=float).clip(0.0, 1.0)[sigma]  # masses in descending-v order
+    vs = np.take_along_axis(inst.v, sigma, axis=1)
+    lengths = _prefix_lengths(xs)
+    q = int(lengths.max())  # only the first q sorted sites can be in a prefix
+    xpre = np.where(np.arange(q) < lengths[:, None], xs[:, :q], 0.0)
+    rest = np.maximum(1.0 - xpre.sum(axis=1), 0.0)
+    vnext = np.zeros(inst.m)
+    inside = lengths < inst.n
+    vnext[inside] = vs[inside, lengths[inside]]
+    b = (rest * vnext)[:, None] / (vnext[:, None] + inst.v) + _ratio_sums(xpre * vs[:, :q], vs[:, :q], inst.v)
     return RMedianInstance(cost=b, w=inst.w, r=inst.r)
 
 
@@ -141,9 +164,5 @@ def ef_cut(inst: Instance, y, cy: np.ndarray | None = None) -> Cut:
 def ef_separation_costs(inst: Instance, zstar) -> RMedianInstance:
     """r-median reduction of the assignment-cut separation at zstar:
     cost[i, k] = sum_j zstar[i, j] v[i, j] / (v[i, j] + v[i, k])."""
-    z = np.clip(np.asarray(zstar, dtype=float), 0.0, 1.0)
-    d = np.empty((inst.m, inst.n))
-    for i in range(inst.m):
-        vi = inst.v[i]
-        d[i] = (z[i] * vi) @ (1.0 / (vi[:, None] + vi[None, :]))
-    return RMedianInstance(cost=d, w=inst.w, r=inst.r)
+    z = np.asarray(zstar, dtype=float).clip(0.0, 1.0)
+    return RMedianInstance(cost=_ratio_sums(z * inst.v, inst.v, inst.v), w=inst.w, r=inst.r)

@@ -174,10 +174,10 @@ def load_instance(text) -> Instance:
 
 def save_instance(inst: Instance) -> str:
     """Render an instance in the native format, 12 significant digits."""
-    out = [FORMAT_HEADER, f"{inst.m} {inst.n} {inst.p} {inst.r}"]
-    out.append(" ".join(f"{x:.12g}" for x in inst.w))
-    for i in range(inst.m):
-        out.append(" ".join(f"{x:.12g}" for x in inst.v[i]))
+    # Python floats format faster than numpy scalars, to the same text
+    num = "{:.12g}".format
+    out = [FORMAT_HEADER, f"{inst.m} {inst.n} {inst.p} {inst.r}", " ".join(map(num, inst.w.tolist()))]
+    out.extend(" ".join(map(num, row)) for row in inst.v.tolist())
     return "\n".join(out) + "\n"
 
 

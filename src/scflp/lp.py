@@ -4,11 +4,15 @@ Models are maximization problems over a fixed column set with a growable
 row set (cuts append rows).  Each model keeps its rows once, in growable
 numpy arrays: column, coefficient and row id per nonzero, row start
 offsets, row lower and upper bounds, and a tag per row.  Capacities double
-as they fill, so appending a row costs amortized O(1).  ``add_rows`` appends
-any number of rows given in CSR form in one call; ``add_row`` is its
-one-row wrapper.  Both drop zero coefficients, keep the rest in the order
-given, and reject bad senses, invalid columns and non-finite data at
-append time.
+as they fill (one capacity test per append), so appending a row costs
+amortized O(1).  ``add_rows`` appends any number of rows given in CSR form
+in one call; ``add_row`` is its one-row wrapper.  Both drop zero
+coefficients, keep the rest in the order given, and reject malformed CSR
+data, bad senses, non-finite data, invalid columns and a column repeated
+within a row at append time.  An append is a fixed handful of numpy calls
+whatever its size: the repeat check sorts only a block whose columns fall
+inside a row, and row ids are filled when the rows are handed to HiGHS, in
+one call per solve.
 
 Each model owns one persistent HiGHS instance, created on its first solve:
 single-threaded dual simplex, no presolve, output off, so identical call
@@ -99,16 +103,6 @@ class LpRow:
     tag: str = ""
 
 
-def _fit(arr: np.ndarray, size: int) -> np.ndarray:
-    """arr itself while it holds size entries, else a copy with at least
-    twice its capacity."""
-    if size <= arr.size:
-        return arr
-    grown = np.empty(max(size, 2 * arr.size), arr.dtype)
-    grown[: arr.size] = arr
-    return grown
-
-
 class LpModel:
     """Dense-column maximization LP with mutable variable bounds."""
 
@@ -130,11 +124,31 @@ class LpModel:
         # than with the 32-bit ones HiGHS takes; _sync converts each new slice
         self._index = np.empty(0, np.int64)  # column of each nonzero
         self._value = np.empty(0)
-        self._row_id = np.empty(0, np.int64)
+        self._row_id = np.empty(0, np.int64)  # filled by _sync, for the rows it hands HiGHS
         self._start = np.zeros(1, np.int64)  # row k: nonzeros _start[k] to _start[k + 1]
         self._row_lo = np.empty(0)
         self._row_hi = np.empty(0)
         self._tags: list[str] = []
+
+    def _reserve(self, nnz: int, nrows: int):
+        """Grow the row store to hold nnz nonzeros and nrows rows; a group
+        that must grow at least doubles its capacity, and the first
+        allocation holds a small model's base rows and first cuts."""
+
+        def grown(arr, live, cap):
+            out = np.empty(cap, arr.dtype)
+            out[:live] = arr[:live]
+            return out
+
+        if nnz > self._value.size:
+            cap = max(nnz, 2 * self._value.size, 256)
+            self._index, self._value, self._row_id = (
+                grown(a, self._nnz, cap) for a in (self._index, self._value, self._row_id)
+            )
+        if nrows > self._row_lo.size:
+            cap = max(nrows, 2 * self._row_lo.size, 32)
+            self._start = grown(self._start, self._nrows + 1, cap + 1)
+            self._row_lo, self._row_hi = (grown(a, self._nrows, cap) for a in (self._row_lo, self._row_hi))
 
     @property
     def nrows(self) -> int:
@@ -178,9 +192,8 @@ class LpModel:
         value = np.asarray(value, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
         k = indptr.size - 1
-        counts = indptr[1:] - indptr[:-1]
-        malformed = k < 0 or indptr[0] != 0 or indptr[-1] != index.size or value.shape != index.shape
-        if malformed or (k > 1 and counts.min() < 0):  # one row's count is index.size
+        malformed = k < 0 or index.ndim != 1 or indptr[0] != 0 or indptr[-1] != index.size or value.shape != index.shape
+        if malformed or (k > 1 and np.count_nonzero(indptr[1:] < indptr[:-1])):  # one row's count is index.size
             raise ValueError("malformed row data: indptr must rise from 0 to the number of entries")
         if rhs.shape not in ((), (k,)):
             raise ValueError(f"{rhs.size} right-hand sides for {k} rows")
@@ -190,6 +203,8 @@ class LpModel:
         if isinstance(sense, str):
             if sense not in _SENSES:
                 raise ValueError(f"bad row sense {sense!r}")
+            lo = -np.inf if sense == "<=" else rhs
+            hi = np.inf if sense == ">=" else rhs
         else:
             sense = np.asarray(sense, dtype=object)
             if sense.shape != (k,):
@@ -197,8 +212,12 @@ class LpModel:
             for s in sense:
                 if s not in _SENSES:
                     raise ValueError(f"bad row sense {s!r}")
+            lo = np.where(sense == "<=", -np.inf, rhs)
+            hi = np.where(sense == ">=", np.inf, rhs)
         r0 = self._nrows
-        if not math.isfinite(value.sum() + rhs.sum()):  # a finite sum can overflow: find the culprit first
+        # a sum of squares is finite when every entry is; it can also
+        # overflow, so the culprit is found before anything is refused
+        if not math.isfinite(value @ value + rhs.sum()):
             bad = np.flatnonzero(~np.isfinite(np.broadcast_to(rhs, (k,))))
             if bad.size:
                 raise ValueError(f"row {r0 + bad[0]} ({tags[bad[0]]!r}) has a non-finite right-hand side")
@@ -209,17 +228,22 @@ class LpModel:
         if np.count_nonzero(value) < value.size:
             keep = value != 0.0
             indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]  # kept entries before each start
-            counts = indptr[1:] - indptr[:-1]
             index, value = index[keep], value[keep]
-        if index.size and (index.min() < 0 or index.max() >= self.ncols):
+        # one test for both ends: a negative column reads as a huge unsigned one
+        if index.size and np.maximum.reduce(index.view(np.uint64)) >= self.ncols:
             bad = index[(index < 0) | (index >= self.ncols)][0]
             raise ValueError(f"row references invalid column {bad}")
         r1 = r0 + k
-        row_id = np.repeat(np.arange(r0, r1), counts)
-        # HiGHS refuses a row that repeats a column; (row, column) keys that
-        # rise strictly have no repeat, others are sorted to find one
-        key = row_id * self.ncols + index
-        if np.count_nonzero(key[1:] <= key[:-1]):
+        # HiGHS refuses a row that repeats a column.  Columns that rise
+        # strictly inside each row repeat none, so only a block whose columns
+        # fall (do not rise) somewhere other than at a row start is sorted
+        fall = index[1:] <= index[:-1]
+        inner = np.count_nonzero(fall)
+        if inner:  # indptr is sorted and ends past every fall position
+            at = fall.nonzero()[0] + 1
+            inner = np.count_nonzero(indptr[np.searchsorted(indptr, at)] != at)
+        if inner:
+            key = np.repeat(np.arange(r0, r1), np.diff(indptr)) * self.ncols + index
             key.sort()
             dup = np.flatnonzero(key[1:] == key[:-1])
             if dup.size:
@@ -228,15 +252,13 @@ class LpModel:
 
         n0 = self._nnz
         n1 = n0 + index.size
-        self._index, self._value, self._row_id = (_fit(a, n1) for a in (self._index, self._value, self._row_id))
-        self._start = _fit(self._start, r1 + 1)
-        self._row_lo, self._row_hi = _fit(self._row_lo, r1), _fit(self._row_hi, r1)
+        if n1 > self._value.size or r1 > self._row_lo.size:
+            self._reserve(n1, r1)
         self._index[n0:n1] = index
         self._value[n0:n1] = value
-        self._row_id[n0:n1] = row_id
-        self._start[r0 + 1 : r1 + 1] = n0 + indptr[1:]
-        self._row_lo[r0:r1] = np.where(sense == "<=", -np.inf, rhs)
-        self._row_hi[r0:r1] = np.where(sense == ">=", np.inf, rhs)
+        np.add(indptr[1:], n0, out=self._start[r0 + 1 : r1 + 1])
+        self._row_lo[r0:r1] = lo
+        self._row_hi[r0:r1] = hi
         self._tags.extend(tags)
         self._nrows, self._nnz = r1, n1
         return r0
@@ -255,6 +277,7 @@ class LpModel:
             start = self._start[r0 : r1 + 1]
             n0, n1 = int(start[0]), int(start[-1])
             starts = (start[:-1] - n0).astype(np.int32)
+            self._row_id[n0:n1] = np.repeat(np.arange(r0, r1), start[1:] - start[:-1])
             cols = self._index[n0:n1].astype(np.int32)
             lo, hi = self._row_lo[r0:r1], self._row_hi[r0:r1]
             _check(self._highs.addRows(r1 - r0, lo, hi, n1 - n0, starts, cols, self._value[n0:n1]), "addRows")
@@ -330,8 +353,8 @@ def lp_solve(model: LpModel) -> LpResult:
     x = np.asarray(highs.getSolution().col_value, dtype=float)
     ax = model._row_activity(x)
     n = model.nrows
-    gaps = np.concatenate([model.lower - x, x - model.upper, model._row_lo[:n] - ax, ax - model._row_hi[:n]])
-    viol = float(np.max(gaps, initial=0.0))
+    gaps = np.concatenate((model.lower - x, x - model.upper, model._row_lo[:n] - ax, ax - model._row_hi[:n]))
+    viol = float(gaps.max(initial=0.0))
     if not viol <= FEAS_TOL:  # a nan residual fails too
         return LpResult("iteration_limit", float("nan"), None, viol, "residuals above tolerance")
     return LpResult("optimal", float(model.objective @ x), x, viol, message)

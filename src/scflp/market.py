@@ -20,7 +20,7 @@ from .rmedian import RMedianConfig, RMedianInstance, rmedian_enumerate, rmedian_
 
 def open_sites(bits) -> np.ndarray:
     """Indices of the open sites in a 0/1 vector."""
-    return np.flatnonzero(np.asarray(bits) > 0.5)
+    return (np.asarray(bits) > 0.5).ravel().nonzero()[0]
 
 
 def indicator(n: int, sites) -> np.ndarray:

@@ -60,9 +60,10 @@ class RMedianInstance:
             raise ValueError("cost must be an (m, n) matrix")
         if w.shape != (cost.shape[0],):
             raise ValueError("w length must match the cost row count")
-        if np.any(cost < 0.0) or not np.all(np.isfinite(cost)):
+        # min and max propagate NaN, which fails both comparisons
+        if cost.size and not (cost.min() >= 0.0 and cost.max() < math.inf):
             raise ValueError("costs must be finite and nonnegative")
-        if np.any(w <= 0.0):
+        if w.size and not w.min() > 0.0:
             raise ValueError("weights must be positive")
         if not 1 <= self.r <= cost.shape[1]:
             raise ValueError(f"r={self.r} out of range [1, {cost.shape[1]}]")
@@ -101,7 +102,9 @@ def _combo_values(rm: RMedianInstance, combos: np.ndarray, base: np.ndarray | No
     mins = base
     for col in combos.T:
         mins = ct[col] if mins is None else np.minimum(mins, ct[col])
-    return (np.broadcast_to(mins, (len(combos), ct.shape[1])) * rm.w).sum(axis=1)
+    if mins.ndim == 1:  # no columns to add: every set is the base alone
+        mins = np.broadcast_to(mins, (len(combos), ct.shape[1]))
+    return (mins * rm.w).sum(axis=1)
 
 
 def set_value(rm: RMedianInstance, sites) -> float:
@@ -226,7 +229,7 @@ def rmedian_solve(rm: RMedianInstance, cfg: RMedianConfig | None = None):
 
     # a search that is one scan at the root needs no starting incumbent
     incumbent, ub = _greedy_swap(rm) if math.comb(n, r) > cfg.enum_chunk else ((), math.inf)
-    t = rm.w[:, None] * rm.cost
+    t = None  # weighted costs, built for the first node that needs a Lagrangian bound
 
     # heap of (bound, tiebreak, forced_in tuple, forced_out frozenset,
     # the parent's best multipliers or None at the root)
@@ -250,6 +253,8 @@ def rmedian_solve(rm: RMedianInstance, cfg: RMedianConfig | None = None):
             if val < ub or (val == ub and sites < incumbent):
                 incumbent, ub = sites, val
             continue
+        if t is None:
+            t = rm.w[:, None] * rm.cost
         allowed = list(fin) + free
         sub_t = t[:, allowed]
         u = sub_t.min(axis=1) if u is None else u.copy()

@@ -9,14 +9,14 @@ that certificate is only available at integral points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cuts import Cut, ef_cut, ef_separation_costs, gsf_separation_costs, improved_cut, sigma_order, submodular_cut, tight_ell
 from .instance import Instance
-from .market import indicator, response_costs
-from .rmedian import RMedianConfig, rmedian_solve
+from .market import compute_cy, indicator, response_costs
+from .rmedian import RMedianConfig, RMedianInstance, rmedian_solve
 
 EPS_VIOL = 1e-6  # absolute violation threshold
 
@@ -26,11 +26,17 @@ class FollowerPool:
 
     Members are optimal solutions of previously solved exact separation
     problems, so their cuts are the ones most likely to be violated again.
+    ``scan`` computes each member's capture matrix once per instance.
+    ``last_solve`` holds the most recent exact separation solve recorded
+    on the pool: (r-median instance, sites, value), or None.
     """
 
     def __init__(self):
         self._members: list[np.ndarray] = []
         self._seen: set[bytes] = set()
+        self._inst: Instance | None = None  # the instance _captures belong to
+        self._captures: list[np.ndarray | None] = []
+        self.last_solve: tuple[RMedianInstance, np.ndarray, float] | None = None
 
     def add(self, y) -> bool:
         y = np.asarray(y, dtype=np.int8)
@@ -39,6 +45,7 @@ class FollowerPool:
             return False
         self._seen.add(key)
         self._members.append(y)
+        self._captures.append(None)
         return True
 
     def __len__(self) -> int:
@@ -47,15 +54,32 @@ class FollowerPool:
     def __iter__(self):
         return iter(reversed(self._members))
 
+    def scan(self, inst: Instance):
+        """(y, compute_cy(inst, y)) per member, newest first."""
+        if inst is not self._inst:
+            self._inst = inst
+            self._captures = [None] * len(self._members)
+        for k in range(len(self._members) - 1, -1, -1):
+            cy = self._captures[k]
+            if cy is None:
+                cy = self._captures[k] = compute_cy(inst, self._members[k])
+            yield self._members[k], cy
+
 
 @dataclass(frozen=True)
 class RelaxPoint:
     """LP solution handed to the oracles: objective value eta, leader
-    vector x in [0,1]^n, and allocations z (extended formulation only)."""
+    vector x in [0,1]^n, allocations z (extended formulation only), and the
+    tolerance within which x counts as integral."""
 
     eta: float
     x: np.ndarray
     z: np.ndarray | None = None
+    int_tol: float = 1e-6
+    integral: bool = field(init=False)  # is_integral(x, int_tol), computed once
+
+    def __post_init__(self):
+        object.__setattr__(self, "integral", is_integral(self.x, self.int_tol))
 
 
 def _violated(cut: Cut, pt: RelaxPoint, eps: float) -> bool:
@@ -63,7 +87,18 @@ def _violated(cut: Cut, pt: RelaxPoint, eps: float) -> bool:
 
 
 def is_integral(x, tol: float = 1e-6) -> bool:
-    return bool(np.all(np.abs(x - np.round(x)) <= tol))
+    x = np.asarray(x)
+    return bool((np.abs(x - x.round()) <= tol).all())
+
+
+def _exact(rm: RMedianInstance, rmedian_cfg: RMedianConfig | None, pool: FollowerPool | None):
+    """Exact r-median solve of a separation problem, recorded on the pool."""
+    sites, value, status = rmedian_solve(rm, rmedian_cfg)
+    if status != "optimal":
+        raise RuntimeError("exact separation hit the r-median limit")
+    if pool is not None:
+        pool.last_solve = (rm, sites, value)
+    return sites, value
 
 
 def separate_sf(
@@ -75,38 +110,28 @@ def separate_sf(
 ) -> list[Cut]:
     """Classic-cut separation.
 
-    Integral x: pool scan first, then an exact best-response r-median whose
-    argmin joins the pool; an empty return certifies the point.  Fractional
-    x: cuts are built at the rounded point (ties round up) for pool members
-    only and returned when violated at the fractional point; no exactness is
-    claimed.
+    Cuts are built at the rounded point (ties round up) for pool members and
+    returned when violated at x.  At an integral x (``pt.integral``) an
+    empty scan falls back to an exact best-response r-median whose argmin
+    joins the pool; an empty return then certifies the point.  At a
+    fractional x no exactness is claimed.
     """
     if pt.z is not None:
         raise ValueError("classic separation takes points without allocations")
-    if is_integral(pt.x):
-        support = sorted(int(j) for j in np.flatnonzero(np.asarray(pt.x) > 0.5))
-        hits = []
-        for y in pool:
-            cut = submodular_cut(inst, y, support)
-            if _violated(cut, pt, eps):
-                hits.append(cut)
-        if hits:
-            return hits
-        sites, value, status = rmedian_solve(response_costs(inst, pt.x), rmedian_cfg)
-        if status != "optimal":
-            raise RuntimeError("exact separation hit the r-median limit")
-        y_star = indicator(inst.n, sites)
-        pool.add(y_star)
-        cut = submodular_cut(inst, y_star, support)
-        return [cut] if _violated(cut, pt, eps) else []
     rounded = np.floor(np.asarray(pt.x) + 0.5)  # ties at .5 round up
-    support = sorted(int(j) for j in np.flatnonzero(rounded > 0.5))
+    support = (rounded > 0.5).nonzero()[0].tolist()
     hits = []
-    for y in pool:
-        cut = submodular_cut(inst, y, support)
+    for y, cy in pool.scan(inst):
+        cut = submodular_cut(inst, y, support, cy)
         if _violated(cut, pt, eps):
             hits.append(cut)
-    return hits
+    if hits or not pt.integral:
+        return hits
+    sites, _ = _exact(response_costs(inst, pt.x), rmedian_cfg, pool)
+    y_star = indicator(inst.n, sites)
+    pool.add(y_star)
+    cut = submodular_cut(inst, y_star, support)
+    return [cut] if _violated(cut, pt, eps) else []
 
 
 def separate_gsf(
@@ -129,16 +154,13 @@ def separate_gsf(
     sigma = sigma_order(inst) if sigma is None else sigma
     ell = tight_ell(inst, pt.x, sigma)
     hits = []
-    for y in pool:
-        cut = improved_cut(inst, y, ell)
+    for y, cy in pool.scan(inst):
+        cut = improved_cut(inst, y, ell, cy)
         if _violated(cut, pt, eps):
             hits.append(cut)
     if hits:
         return hits
-    rm = gsf_separation_costs(inst, pt.x, sigma)
-    sites, value, status = rmedian_solve(rm, rmedian_cfg)
-    if status != "optimal":
-        raise RuntimeError("exact separation hit the r-median limit")
+    sites, _ = _exact(gsf_separation_costs(inst, pt.x, sigma), rmedian_cfg, pool)
     y_star = indicator(inst.n, sites)
     pool.add(y_star)
     cut = improved_cut(inst, y_star, ell)
@@ -150,14 +172,13 @@ def separate_ef(
     inst: Instance,
     eps: float = EPS_VIOL,
     rmedian_cfg: RMedianConfig | None = None,
+    pool: FollowerPool | None = None,
 ) -> list[Cut]:
-    """Assignment-cut separation; always exact, no heuristic path."""
+    """Assignment-cut separation; always exact, no heuristic path.  A given
+    pool only records the exact solve (``FollowerPool.last_solve``)."""
     if pt.z is None:
         raise ValueError("assignment separation needs allocations")
-    rm = ef_separation_costs(inst, pt.z)
-    sites, value, status = rmedian_solve(rm, rmedian_cfg)
-    if status != "optimal":
-        raise RuntimeError("exact separation hit the r-median limit")
+    sites, value = _exact(ef_separation_costs(inst, pt.z), rmedian_cfg, pool)
     if value < pt.eta - eps:
         return [ef_cut(inst, indicator(inst.n, sites))]
     return []

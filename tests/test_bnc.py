@@ -2,17 +2,19 @@ import io
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from scflp import BncConfig, brute_force_solve, follower_best_response, root_relaxation, solve
-from scflp.bnc import add_cut_row, build_model
+from scflp import BncConfig, bnc, brute_force_solve, follower_best_response, root_relaxation, solve
+from scflp.bnc import _Search, add_cut_row, build_model
 from scflp.cuts import ef_cut
 from scflp.lp import LpModel, lp_solve
 from scflp.market import indicator, leader_share
+from scflp.separation import RelaxPoint
 
-from conftest import random_instance
+from conftest import random_choice, random_instance
 
 TIE_CLASS = {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
@@ -181,3 +183,41 @@ def test_bulk_ef_model_matches_per_row_reference(golden):
         assert model.nrows == 1 + m * n + m
         assert _row_records(model) == _row_records(ref)
         assert model.to_lp_text() == ref.to_lp_text()
+
+
+def test_cut_loop_and_sf_separation_share_one_integrality_tolerance():
+    """The loop builds its points with cfg.int_tol, and SF separation reads
+    the same flag: a point 1e-5 from integral under int_tol=1e-4 gets the
+    exact pass, so certifying it does not rest on the incumbent re-check."""
+    rng = np.random.default_rng(37)
+    inst = random_instance(rng, m=4, n=6, p=2, r=2)
+    search = _Search(inst, BncConfig(formulation="SF", int_tol=1e-4))
+    x = np.array([1.0, 1e-5, 1.0 - 1e-5, 0.0, 1e-5, 0.0])
+    pt = search.point(SimpleNamespace(x=np.concatenate(([inst.total_demand], x))))
+    assert pt.int_tol == 1e-4 and pt.integral
+    assert len(search.separate(pt)) == 1
+    assert search.pool.last_solve is not None and len(search.pool) == 1
+
+
+def test_reused_best_response_equals_follower_best_response(monkeypatch):
+    """The certified-node best response reuses the search's last exact
+    separation solve only when its r-median costs are bit-identical, and
+    then returns exactly what follower_best_response returns."""
+    rng = np.random.default_rng(41)
+    calls = []
+    original = bnc.follower_best_response
+    monkeypatch.setattr(bnc, "follower_best_response", lambda *a, **k: calls.append(1) or original(*a, **k))
+    reused = 0
+    for _ in range(30):
+        inst = random_instance(rng, m=int(rng.integers(2, 7)), n=int(rng.integers(3, 8)))
+        for form in ("SF", "GSF"):
+            search = _Search(inst, BncConfig(formulation=form))
+            xint = random_choice(rng, inst.n, inst.p)
+            search.separate(RelaxPoint(eta=inst.total_demand, x=xint.astype(float)))
+            for x in (xint, random_choice(rng, inst.n, inst.p)):
+                calls.clear()
+                y, val = search.best_response(x)
+                y_ref, val_ref = original(inst, x, mode="rmedian")
+                assert np.array_equal(y, y_ref) and val == val_ref
+                reused += not calls
+    assert reused >= 30  # every SF search reuses at its own point

@@ -158,3 +158,17 @@ def test_bench_parallel_workers_match_serial(golden_file, tmp_path, capsys):
     assert main(args + ["--out", str(parallel), "--workers", "2"]) == 0
     assert _mask_times(serial.read_text()) == _mask_times(parallel.read_text())
     capsys.readouterr()
+
+
+def test_verify_exits_1_when_a_check_fails(tmp_path, capsys):
+    """The pinned criterion-4 counterexample fails the hull check; a FAIL
+    line comes with exit code 1, as the documented exit codes say."""
+    from scflp import Instance, save_instance
+    from test_verify import HULL_GAP_V, HULL_GAP_W
+
+    path = tmp_path / "hullgap.scflp"
+    path.write_text(save_instance(Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)))
+    code = main(["verify", "--in", str(path), "--checks", "hull", "--trials", "200", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert "hull: FAIL" in out
+    assert code == 1

@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scflp import compute_cy, leader_share
+from scflp import GeneratorParams, compute_cy, generate_instance, leader_share
 from scflp.cuts import (
+    _BLOCK_BYTES,
     _key,
+    _prefix_lengths,
     ef_cut,
     ef_separation_costs,
     gsf_separation_costs,
@@ -151,6 +154,73 @@ def test_gsf_costs_match_anchor_minimum():
             )
             reduced = float(inst.w @ rm.cost[:, list(combo)].min(axis=1))
             assert reduced == pytest.approx(best, abs=1e-10)
+
+
+def _gsf_costs_per_customer(inst, xstar):
+    """Reference: the per-customer loop gsf_separation_costs replaced."""
+    sigma = sigma_order(inst)
+    xs = np.clip(np.asarray(xstar, dtype=float), 0.0, 1.0)
+    lengths = _prefix_lengths(xs[sigma])
+    b = np.empty((inst.m, inst.n))
+    for i in range(inst.m):
+        order, k, vi = sigma[i], lengths[i], inst.v[i]
+        prefix = order[:k]
+        vpre = vi[prefix]
+        rest = max(1.0 - float(xs[prefix].sum()), 0.0)
+        vnext = vi[order[k]] if k < inst.n else 0.0
+        b[i] = rest * vnext / (vnext + vi) + (xs[prefix] * vpre) @ (1.0 / (vpre[:, None] + vi[None, :]))
+    return b
+
+
+def _ef_costs_per_customer(inst, zstar):
+    """Reference: the per-customer loop ef_separation_costs replaced."""
+    z = np.clip(np.asarray(zstar, dtype=float), 0.0, 1.0)
+    d = np.empty((inst.m, inst.n))
+    for i in range(inst.m):
+        vi = inst.v[i]
+        d[i] = (z[i] * vi) @ (1.0 / (vi[:, None] + vi[None, :]))
+    return d
+
+
+def test_blocked_separation_costs_match_per_customer_loop():
+    """The blocked kernels sum in another order than the loop, so they agree
+    to 1e-12 relative, at sizes on both sides of a block boundary."""
+    step = _BLOCK_BYTES // (8 * 100 * 100)  # customers per block when q = n = 100
+    sizes = [(1, 1), (3, 5), (8, 8), (step, 100), (step + 1, 100), (2 * step + 1, 100), (100, 100)]
+    rng = np.random.default_rng(83)
+    for m, n in sizes:
+        inst = random_instance(rng, m=m, n=n, p=1, r=1)
+        sigma = sigma_order(inst)
+        points = [
+            rng.uniform(0.0, 1.0, size=n) * min(1.0, 4.0 / n),  # fractional
+            np.zeros(n),  # zero masses: no prefix has weight
+            np.full(n, 0.5 / n),  # every prefix spans the whole row
+            (rng.uniform(size=n) < 0.3).astype(float),  # integral
+        ]
+        unit_first = rng.uniform(0.0, 0.2, size=n)
+        unit_first[sigma[0, 0]] = 1.0  # customer 0's first site is fully open
+        points.append(unit_first)
+        for x in points:
+            np.testing.assert_allclose(gsf_separation_costs(inst, x).cost, _gsf_costs_per_customer(inst, x), rtol=1e-12, atol=0)
+        z = rng.uniform(0.0, 1.0, size=(m, n)) / n
+        z[:, rng.uniform(size=n) < 0.5] = 0.0  # zero columns
+        for zz in (z, np.zeros((m, n)), np.full((m, n), 1.0 / n)):
+            np.testing.assert_allclose(ef_separation_costs(inst, zz).cost, _ef_costs_per_customer(inst, zz), rtol=1e-12, atol=0)
+
+
+def test_separation_cost_kernels_peak_memory_at_n100():
+    inst = generate_instance(GeneratorParams("biesinger", m=100, n=100, p=2, r=3, seed=1))
+    x = np.full(100, 0.005)  # every prefix spans the whole row: the widest blocks
+    z = np.full((100, 100), 0.01)
+    for build in (lambda: gsf_separation_costs(inst, x), lambda: ef_separation_costs(inst, z)):
+        build()
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 def test_ef_cut_golden(golden):

@@ -99,3 +99,26 @@ def test_invalid_construction_rejected():
         Instance(m=1, n=2, w=np.array([1.0]), v=np.array([[1.0, 1.0]]), p=0, r=1)
     with pytest.raises(InstanceError):
         GeneratorParams("hexagonal", m=2, n=2, p=1, r=1)
+
+
+def _save_with_numpy_scalars(inst) -> str:
+    """Reference: the text formatted from numpy scalars, one row at a time."""
+    out = ["scflp 1", f"{inst.m} {inst.n} {inst.p} {inst.r}", " ".join(f"{x:.12g}" for x in inst.w)]
+    out += [" ".join(f"{x:.12g}" for x in inst.v[i]) for i in range(inst.m)]
+    return "\n".join(out) + "\n"
+
+
+def test_save_text_equals_numpy_scalar_formatting():
+    rng = np.random.default_rng(43)
+    special = np.array([1e-300, 1e300, 0.1, 1 / 3, 2.0**-1074, 1.7976931348623157e308, 123456789012.5, 5e-324 * 3])
+    for k in range(40):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        w = rng.integers(1, 11, size=m).astype(float)
+        v = rng.uniform(0.01, 3.0, size=(m, n)) * 10.0 ** rng.integers(-300, 300, size=(m, n))
+        if k % 2:
+            v.flat[rng.integers(0, m * n, size=min(m * n, 4))] = rng.choice(special, size=min(m * n, 4))
+            w[0] = special[k % special.size]
+        inst = Instance(m=m, n=n, w=w, v=v, p=1, r=1)
+        text = save_instance(inst)
+        assert text == _save_with_numpy_scalars(inst)
+        assert load_instance(text).v.tolist() == np.array([[float(f"{x:.12g}") for x in row] for row in v]).tolist()

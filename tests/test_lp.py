@@ -330,6 +330,22 @@ def test_repeated_column_rejected_at_append():
     assert res.objective == pytest.approx(-ref.fun, abs=1e-12)
 
 
+def test_repeat_check_sees_falls_inside_rows_only():
+    """Columns that fall back at a row start (as the EF linking rows and
+    eta-first cut rows do) are no repeat; a fall inside a row is checked by
+    sorting, with empty rows anywhere in the block."""
+    model = LpModel([1.0] * 4, [0.0] * 4, [1.0] * 4)
+    # rows (3, 0), (), (2, 1), (3, 0, 2), () -- every fall is at a row start or inside a row without a repeat
+    model.add_rows((0, 2, 2, 4, 7, 7), (3, 0, 2, 1, 3, 0, 2), (1.0,) * 7, "<=", 2.0)
+    assert [row.coef for row in model.rows] == [{3: 1.0, 0: 1.0}, {}, {2: 1.0, 1: 1.0}, {3: 1.0, 0: 1.0, 2: 1.0}, {}]
+    for indptr, index in (((0, 0, 3), (2, 1, 2)), ((0, 2, 5, 5), (3, 0, 1, 3, 1)), ((0, 2, 2, 4), (2, 3, 0, 0))):
+        with pytest.raises(ValueError, match="repeats column"):
+            model.add_rows(indptr, index, (1.0,) * len(index), "<=", 1.0)
+    assert model.nrows == 5
+    res = lp_solve(model)
+    assert res.status == "optimal" and res.objective == pytest.approx(3.0, abs=1e-12)
+
+
 def test_nan_residual_is_never_optimal():
     """The residual gate fails unless the violation is at most the
     tolerance, so a nan residual cannot pass as optimal."""

@@ -215,3 +215,16 @@ def test_greedy_swap_matches_per_candidate_loop():
             cost = np.round(cost)  # ties
         rm = RMedianInstance(cost=cost, w=rng.uniform(0.5, 3.0, size=m), r=int(rng.integers(1, n + 1)))
         assert _greedy_swap(rm) == _greedy_swap_per_candidate(rm)
+
+
+def test_instance_rejects_bad_costs_and_weights():
+    good = np.array([[0.0, 1.0], [2.0, 0.5]])
+    RMedianInstance(good, np.ones(2), 1)
+    for bad in (-1e-300, np.nan, np.inf):
+        cost = good.copy()
+        cost[1, 0] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RMedianInstance(cost, np.ones(2), 1)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            RMedianInstance(good, np.array([1.0, bad]), 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scflp import compute_cy, follower_best_response, leader_share
+from scflp.cuts import improved_cut, submodular_cut, tight_ell
 from scflp.market import indicator
 from scflp.separation import FollowerPool, RelaxPoint, is_integral, separate_ef, separate_gsf, separate_sf
 from scflp.verify import greedy_assignment
@@ -179,3 +180,52 @@ def test_returned_cuts_are_sound():
 def test_is_integral_tolerance():
     assert is_integral(np.array([1.0 - 1e-8, 1e-8, 1.0]))
     assert not is_integral(np.array([0.5, 1.0, 0.0]))
+
+
+def _same_cut(a, b) -> bool:
+    return a.kind == b.kind and a.constant == b.constant and np.array_equal(a.xcoef, b.xcoef) and a.provenance == b.provenance
+
+
+def test_pool_memoized_cuts_equal_fresh_cuts():
+    """The pool computes each member's capture matrix once per instance;
+    the cuts built from them equal cuts built from scratch bit for bit."""
+    rng = np.random.default_rng(29)
+    inst = random_instance(rng, m=5, n=7, p=2, r=3)
+    other = random_instance(rng, m=5, n=7, p=2, r=3)
+    pool = FollowerPool()
+    for _ in range(6):
+        pool.add(random_choice(rng, 7, 3))
+    first = list(pool.scan(inst))
+    assert [tuple(y) for y, _ in first] == [tuple(y) for y in pool]
+    for (y, cy), (_, again) in zip(first, pool.scan(inst)):
+        assert again is cy
+        assert np.array_equal(cy, compute_cy(inst, y))
+    for y, cy in pool.scan(other):  # another instance: fresh matrices
+        assert np.array_equal(cy, compute_cy(other, y))
+    x = rng.uniform(0.0, 1.0, size=7)
+    pt = RelaxPoint(eta=float(inst.total_demand), x=x)
+    ell = tight_ell(inst, x)
+    gsf = separate_gsf(pt, inst, pool)
+    assert gsf and all(_same_cut(c, improved_cut(inst, np.array(c.provenance[1], np.int8), ell)) for c in gsf)
+    support = [int(j) for j in np.flatnonzero(np.floor(x + 0.5) > 0.5)]
+    sf = separate_sf(pt, inst, pool)
+    assert sf and all(_same_cut(c, submodular_cut(inst, np.array(c.provenance[1], np.int8), support)) for c in sf)
+
+
+def test_sf_separation_uses_the_point_integrality_tolerance():
+    """A point 1e-5 from integral is integral under int_tol=1e-4: SF
+    separation then runs its exact pass, as the cut loop expects."""
+    rng = np.random.default_rng(31)
+    inst = random_instance(rng, m=4, n=6, p=2, r=2)
+    x = random_choice(rng, 6, 2).astype(float)
+    x[x == 0] = 1e-5
+    loose = RelaxPoint(eta=float(inst.total_demand), x=x, int_tol=1e-4)
+    assert loose.integral and not RelaxPoint(eta=loose.eta, x=x).integral
+    pool = FollowerPool()
+    cuts = separate_sf(loose, inst, pool)
+    assert len(cuts) == 1 and len(pool) == 1 and pool.last_solve is not None
+    y_star, value = follower_best_response(inst, np.round(x))
+    assert tuple(next(iter(pool))) == tuple(y_star) and pool.last_solve[2] == value
+    # under the default tolerance the same point takes the fractional branch
+    pool = FollowerPool()
+    assert separate_sf(RelaxPoint(eta=loose.eta, x=x), inst, pool) == [] and pool.last_solve is None
