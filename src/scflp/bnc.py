@@ -24,10 +24,11 @@ from .cuts import Cut, ef_cut, improved_cut, sigma_order, submodular_cut, tight_
 from .instance import Instance
 from .lp import LpModel, lp_solve
 from .market import follower_best_response, indicator, response_costs
-from .rmedian import RMedianConfig
-from .separation import EPS_VIOL, FollowerPool, RelaxPoint, separate_ef, separate_gsf, separate_sf
+from .separation import EPS_VIOL, INT_TOL, FollowerPool, RelaxPoint, separate_ef, separate_gsf, separate_sf
 
 FORMULATIONS = ("SF", "GSF", "EF")
+SEP_ROUNDS = 50  # fractional separation rounds per tree node
+ROOT_SEP_ROUNDS = 10_000  # the root runs its cut loop to convergence
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,8 @@ class BncConfig:
     formulation: str = "GSF"
     time_limit: float = 7200.0
     gap_tol: float = 0.0  # relative; solve certifies (UB - LB)/UB <= gap_tol
-    sep_rounds: int = 50  # fractional separation rounds per tree node
-    root_sep_rounds: int = 10_000  # the root runs its cut loop to convergence
     eps_viol: float = EPS_VIOL
-    int_tol: float = 1e-6
-    rmedian: RMedianConfig | None = None
+    int_tol: float = INT_TOL
 
     def __post_init__(self):
         if self.formulation not in FORMULATIONS:
@@ -179,11 +177,11 @@ class _Search:
         t = time.perf_counter()
         form = self.cfg.formulation
         if form == "SF":
-            cuts = separate_sf(pt, self.inst, self.pool, self.cfg.eps_viol, self.cfg.rmedian)
+            cuts = separate_sf(pt, self.inst, self.pool, self.cfg.eps_viol)
         elif form == "GSF":
-            cuts = separate_gsf(pt, self.inst, self.pool, self.cfg.eps_viol, self.sigma, self.cfg.rmedian)
+            cuts = separate_gsf(pt, self.inst, self.pool, self.cfg.eps_viol, self.sigma)
         else:
-            cuts = separate_ef(pt, self.inst, self.cfg.eps_viol, self.cfg.rmedian, self.pool)
+            cuts = separate_ef(pt, self.inst, self.cfg.eps_viol, self.pool)
         self.sep_time += time.perf_counter() - t
         return cuts
 
@@ -195,7 +193,7 @@ class _Search:
         last = self.pool.last_solve
         if last is not None and np.array_equal(last[0].cost, response_costs(self.inst, xint).cost):
             return indicator(self.inst.n, last[1]), last[2]
-        return follower_best_response(self.inst, xint, mode="rmedian", cfg=self.cfg.rmedian)
+        return follower_best_response(self.inst, xint, mode="rmedian")
 
     def install(self, cuts: list[Cut]) -> int:
         fresh = 0
@@ -213,9 +211,11 @@ class _Search:
         fractional rounds, dominated, or infeasible.
 
         Returns (outcome, objective, point) where outcome is one of
-        "certified", "branch", "dominated", "infeasible", "timeout".
+        "certified", "branch", "round_cap", "dominated", "infeasible",
+        "timeout"; after "certified" and "branch" separation found nothing
+        fresh at the point, after "round_cap" it had just added cuts.
         """
-        cap = self.cfg.root_sep_rounds if is_root else self.cfg.sep_rounds
+        cap = ROOT_SEP_ROUNDS if is_root else SEP_ROUNDS
         frac_rounds = 0
         while True:
             res = lp_solve(self.model)
@@ -235,16 +235,20 @@ class _Search:
             if not pt.integral:
                 frac_rounds += 1
                 if frac_rounds >= cap:
-                    return "branch", obj, pt  # round cap; branch at the last point
+                    return "round_cap", obj, pt  # solve branches at the last point
+
+
+def _at_most(a: float, b: float) -> bool:
+    # prune epsilon keeps the certified objective within 2e-10 of the truth
+    return a <= b + 2e-10 * (1.0 + abs(b))
 
 
 def _dominated(bound: float, lb: float, gap_tol: float) -> bool:
-    # prune epsilon keeps the certified objective within 2e-10 of the truth
-    return bound * (1.0 - gap_tol) <= lb + 2e-10 * (1.0 + abs(lb))
+    return _at_most(bound * (1.0 - gap_tol), lb)
 
 
-def _exact_value(inst: Instance, x, cfg: BncConfig) -> float:
-    _, value = follower_best_response(inst, x, mode="rmedian", cfg=cfg.rmedian)
+def _exact_value(inst: Instance, x) -> float:
+    _, value = follower_best_response(inst, x, mode="rmedian")
     return value
 
 
@@ -274,7 +278,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
 
     if inst.p == inst.n:  # single leader choice
         x = indicator(inst.n, range(inst.n))
-        val = _exact_value(inst, x, cfg)
+        val = _exact_value(inst, x)
         dt = time.perf_counter() - t0
         return SolveReport(digest, cfg.formulation, val, x, val, 0.0, 0, 0, 0.0, dt, val, 0.0, "optimal")
 
@@ -313,7 +317,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
                     break
                 xint = np.round(pt.x).astype(np.int8)
                 y_star, val = search.best_response(xint)
-                if obj <= val + 2e-10 * (1.0 + abs(val)):
+                if _at_most(obj, val):
                     incumbent_candidate = (xint, val)
                     break
                 # separation's violation threshold left the node objective
@@ -387,19 +391,15 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
     return report
 
 
-def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float | None = None):
-    """Run the cut loop at the root only; returns (bound, root gap %).
-
-    The gap is (bound - opt) / opt * 100 with opt the supplied true optimum
-    or, when omitted, the optimum of a full solve under the same config.
-    """
+def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float):
+    """Run the cut loop at the root only; returns (bound, root gap %), the
+    gap being (bound - true_opt) / true_opt * 100."""
     if inst.p == inst.n:
         x = indicator(inst.n, range(inst.n))
-        val = _exact_value(inst, x, cfg)
+        val = _exact_value(inst, x)
         return val, 0.0
     search = _Search(inst, cfg)
     outcome, obj, _ = search.cut_loop(is_root=True, lb=-math.inf)
     if outcome == "infeasible":
         raise RuntimeError("root relaxation infeasible")
-    opt = true_opt if true_opt is not None else solve(inst, cfg).objective
-    return obj, (obj - opt) / opt * 100.0
+    return obj, (obj - true_opt) / true_opt * 100.0

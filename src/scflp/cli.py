@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnc import CSV_HEADER, BncConfig, solve
+from .bnc import CSV_HEADER, FORMULATIONS, BncConfig, solve
 from .instance import GeneratorParams, InstanceError, generate_instance, load_instance, save_instance
 from .oracle import brute_force_solve
 from .verify import verify_aggregation, verify_hull, verify_prop61
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="branch-and-cut solve of one instance")
     so.add_argument("--in", dest="path", required=True)
-    so.add_argument("--form", choices=("SF", "GSF", "EF"), default="GSF")
+    so.add_argument("--form", choices=FORMULATIONS, default="GSF")
     so.add_argument("--time-limit", type=float, default=7200.0)
     so.add_argument("--gap", type=float, default=0.0)
     so.add_argument("--out", default=None)
@@ -202,7 +202,7 @@ def _bench_task(payload):
 
 def _cmd_bench(args) -> int:
     forms = [f.strip() for f in args.form.split(",") if f.strip()]
-    bad = set(forms) - {"SF", "GSF", "EF"}
+    bad = set(forms) - set(FORMULATIONS)
     if bad:
         print(f"error: unknown formulations {sorted(bad)}", file=sys.stderr)
         return USAGE_ERROR

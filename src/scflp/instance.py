@@ -136,12 +136,6 @@ def load_instance(text) -> Instance:
     if len(toks) != 4:
         raise InstanceError(f"line {lineno}: size line needs 4 integers 'm n p r', got {len(toks)}")
     m, n, p, r = (_parse_int(t, lineno, "size field") for t in toks)
-    if m < 1 or n < 1:
-        raise InstanceError(f"line {lineno}: m and n must be at least 1")
-    if not 1 <= p <= n:
-        raise InstanceError(f"line {lineno}: p={p} out of range [1, {n}]")
-    if not 1 <= r <= n:
-        raise InstanceError(f"line {lineno}: r={r} out of range [1, {n}]")
 
     try:
         lineno, toks = next(lines)
@@ -153,7 +147,7 @@ def load_instance(text) -> Instance:
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise InstanceError(f"line {lineno}: non-positive weight")
 
-    v = np.empty((m, n))
+    rows = []  # no array of shape (m, n) yet: Instance checks the sizes
     for i in range(m):
         try:
             lineno, toks = next(lines)
@@ -164,12 +158,12 @@ def load_instance(text) -> Instance:
         row = np.array([_parse_float(t, lineno, "attractiveness") for t in toks])
         if np.any(row <= 0.0) or not np.all(np.isfinite(row)):
             raise InstanceError(f"line {lineno}: non-positive attractiveness")
-        v[i] = row
+        rows.append(row)
 
     for lineno, toks in lines:
         raise InstanceError(f"line {lineno}: unexpected trailing data")
 
-    return Instance(m=m, n=n, w=w, v=v, p=p, r=r)
+    return Instance(m=m, n=n, w=w, v=np.array(rows), p=p, r=r)
 
 
 def save_instance(inst: Instance) -> str:

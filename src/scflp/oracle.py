@@ -2,9 +2,10 @@
 
 ``brute_force_solve`` enumerates every leader/follower pair of the max-min
 problem.  ``full_lp_value`` evaluates the LP relaxation of a formulation
-with its cut family fully described (explicit rows for SF and EF, exact
-row generation run to convergence for GSF).  Neither is built for speed;
-caps are explicit and exceeding one raises instead of truncating.
+with its cut family fully described: explicit rows for SF and EF, and for
+GSF the solver's own root cut loop, whose anchor-cut separation is exact at
+every point, run to convergence.  Neither is built for speed; caps are
+explicit and exceeding one raises instead of truncating.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnc import add_cut_row, build_model
+from .bnc import BncConfig, _Search, add_cut_row, build_model
 from .cuts import ef_cut, improved_cut, submodular_cut
 from .instance import Instance
 from .lp import lp_solve
 from .market import indicator
 from .rmedian import CapExceededError
-from .separation import FollowerPool, RelaxPoint, separate_gsf
 
 TIE_TOL = 1e-12
 
@@ -105,23 +105,13 @@ def full_lp_value(
         return res.objective
     if formulation != "GSF":
         raise ValueError(f"unknown formulation {formulation!r}")
-    # exact row generation to convergence
-    model = build_model(inst, "GSF")
-    pool = FollowerPool()
-    registry: set[tuple] = set()
-    for _ in range(100_000):
-        res = lp_solve(model)
-        if res.status != "optimal":
-            raise RuntimeError(f"GSF relaxation LP failed: {res.status}")
-        pt = RelaxPoint(eta=res.x[0], x=res.x[1 : 1 + inst.n])
-        cuts = separate_gsf(pt, inst, pool, eps=eps)
-        fresh = [c for c in cuts if c.provenance not in registry]
-        if not fresh:
-            return res.objective
-        for cut in fresh:
-            registry.add(cut.provenance)
-            add_cut_row(model, inst, cut)
-    raise RuntimeError("GSF row generation failed to converge")
+    search = _Search(inst, BncConfig(formulation="GSF", eps_viol=eps))
+    outcome, obj, _ = search.cut_loop(is_root=True, lb=-math.inf)
+    # anchor separation is exact at any point: a loop that stopped with
+    # nothing fresh to add has reached the relaxation value
+    if outcome not in ("certified", "branch"):
+        raise RuntimeError(f"GSF row generation failed to converge ({outcome})")
+    return obj
 
 
 def enumerate_gsf_value(inst: Instance, ell_cap: int = 100_000) -> float:

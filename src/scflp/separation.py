@@ -16,9 +16,10 @@ import numpy as np
 from .cuts import Cut, ef_cut, ef_separation_costs, gsf_separation_costs, improved_cut, sigma_order, submodular_cut, tight_ell
 from .instance import Instance
 from .market import compute_cy, indicator, response_costs
-from .rmedian import RMedianConfig, RMedianInstance, rmedian_solve
+from .rmedian import RMedianInstance, rmedian_solve
 
 EPS_VIOL = 1e-6  # absolute violation threshold
+INT_TOL = 1e-6  # distance within which a leader variable counts as integral
 
 
 class FollowerPool:
@@ -75,7 +76,7 @@ class RelaxPoint:
     eta: float
     x: np.ndarray
     z: np.ndarray | None = None
-    int_tol: float = 1e-6
+    int_tol: float = INT_TOL
     integral: bool = field(init=False)  # is_integral(x, int_tol), computed once
 
     def __post_init__(self):
@@ -86,14 +87,14 @@ def _violated(cut: Cut, pt: RelaxPoint, eps: float) -> bool:
     return pt.eta > cut.rhs_at(pt.x, pt.z) + eps
 
 
-def is_integral(x, tol: float = 1e-6) -> bool:
+def is_integral(x, tol: float = INT_TOL) -> bool:
     x = np.asarray(x)
     return bool((np.abs(x - x.round()) <= tol).all())
 
 
-def _exact(rm: RMedianInstance, rmedian_cfg: RMedianConfig | None, pool: FollowerPool | None):
+def _exact(rm: RMedianInstance, pool: FollowerPool | None):
     """Exact r-median solve of a separation problem, recorded on the pool."""
-    sites, value, status = rmedian_solve(rm, rmedian_cfg)
+    sites, value, status = rmedian_solve(rm)
     if status != "optimal":
         raise RuntimeError("exact separation hit the r-median limit")
     if pool is not None:
@@ -106,7 +107,6 @@ def separate_sf(
     inst: Instance,
     pool: FollowerPool,
     eps: float = EPS_VIOL,
-    rmedian_cfg: RMedianConfig | None = None,
 ) -> list[Cut]:
     """Classic-cut separation.
 
@@ -127,7 +127,7 @@ def separate_sf(
             hits.append(cut)
     if hits or not pt.integral:
         return hits
-    sites, _ = _exact(response_costs(inst, pt.x), rmedian_cfg, pool)
+    sites, _ = _exact(response_costs(inst, pt.x), pool)
     y_star = indicator(inst.n, sites)
     pool.add(y_star)
     cut = submodular_cut(inst, y_star, support)
@@ -140,7 +140,6 @@ def separate_gsf(
     pool: FollowerPool,
     eps: float = EPS_VIOL,
     sigma: np.ndarray | None = None,
-    rmedian_cfg: RMedianConfig | None = None,
 ) -> list[Cut]:
     """Anchor-cut separation, exact at arbitrary points.
 
@@ -160,7 +159,7 @@ def separate_gsf(
             hits.append(cut)
     if hits:
         return hits
-    sites, _ = _exact(gsf_separation_costs(inst, pt.x, sigma), rmedian_cfg, pool)
+    sites, _ = _exact(gsf_separation_costs(inst, pt.x, sigma), pool)
     y_star = indicator(inst.n, sites)
     pool.add(y_star)
     cut = improved_cut(inst, y_star, ell)
@@ -171,14 +170,13 @@ def separate_ef(
     pt: RelaxPoint,
     inst: Instance,
     eps: float = EPS_VIOL,
-    rmedian_cfg: RMedianConfig | None = None,
     pool: FollowerPool | None = None,
 ) -> list[Cut]:
     """Assignment-cut separation; always exact, no heuristic path.  A given
     pool only records the exact solve (``FollowerPool.last_solve``)."""
     if pt.z is None:
         raise ValueError("assignment separation needs allocations")
-    sites, value = _exact(ef_separation_costs(inst, pt.z), rmedian_cfg, pool)
+    sites, value = _exact(ef_separation_costs(inst, pt.z), pool)
     if value < pt.eta - eps:
         return [ef_cut(inst, indicator(inst.n, sites))]
     return []

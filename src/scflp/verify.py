@@ -26,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnc import add_cut_row, add_eta_row, add_linking_rows, build_model
+from .bnc import add_cut_row, add_eta_row, add_linking_rows
 from .cuts import ef_cut, gsf_separation_costs, improved_cut, sigma_order, tight_ell
 from .instance import Instance
 from .lp import LpModel, lp_solve
-from .market import compute_cy, indicator, open_sites
+from .market import compute_cy, indicator, open_sites, share_of_set
+from .oracle import full_lp_value
 from .rmedian import CapExceededError
 
 
@@ -101,9 +102,7 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
     corners = []
     for bits in itertools.product((0, 1), repeat=inst.n):
         x = np.array(bits, dtype=float)
-        sites = open_sites(x)
-        g = float(inst.w @ cy[:, sites].max(axis=1)) if sites.size else 0.0
-        corners.append((x, g))
+        corners.append((x, share_of_set(cy, inst.w, open_sites(x))))
     worst = 0.0
     for _ in range(trials):
         d = rng.normal(size=1 + inst.n)
@@ -188,12 +187,7 @@ def verify_aggregation(inst: Instance, trials: int = 5, seed: int = 0, y_cap: in
         raise CapExceededError("aggregation check needs an enumerable follower set and m*n <= 400")
     y_list = [indicator(inst.n, combo) for combo in itertools.combinations(range(inst.n), inst.r)]
 
-    shared_model = build_model(inst, "EF")
-    for y in y_list:
-        add_cut_row(shared_model, inst, ef_cut(inst, y))
-    shared = lp_solve(shared_model)
-    if shared.status != "optimal":
-        raise RuntimeError("shared-allocation LP failed")
+    shared = full_lp_value(inst, "EF")
 
     m, n = inst.m, inst.n
     ncols = 1 + n + len(y_list) * m * n
@@ -229,4 +223,4 @@ def verify_aggregation(inst: Instance, trials: int = 5, seed: int = 0, y_cap: in
                 dual_val = u + float(x @ np.maximum(cy[i] - u, 0.0))
                 max_greedy = max(max_greedy, abs(lp_val - greedy_val))
                 max_dual = max(max_dual, abs(lp_val - dual_val))
-    return AggregationReport(shared.objective, disagg.objective, max_greedy, max_dual)
+    return AggregationReport(shared, disagg.objective, max_greedy, max_dual)

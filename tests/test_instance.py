@@ -122,3 +122,9 @@ def test_save_text_equals_numpy_scalar_formatting():
         text = save_instance(inst)
         assert text == _save_with_numpy_scalars(inst)
         assert load_instance(text).v.tolist() == np.array([[float(f"{x:.12g}") for x in row] for row in v]).tolist()
+
+
+@pytest.mark.parametrize("sizes", ["1 0 1 1", "1 -2 1 1", "0 2 1 1"])
+def test_nonpositive_sizes_raise_instance_error(sizes):
+    with pytest.raises(InstanceError):
+        load_instance(f"scflp 1\n{sizes}\n1\n1 1\n")

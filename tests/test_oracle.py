@@ -90,3 +90,16 @@ def test_full_lp_caps(golden):
         full_lp_value(golden, "GSF", y_cap=0)
     with pytest.raises(CapExceededError):
         enumerate_gsf_value(golden, ell_cap=3)
+
+
+def test_gsf_value_refuses_a_loop_stopped_by_its_round_cap(monkeypatch):
+    """At the round cap the cut loop has just added cuts, so its objective
+    is not yet the relaxation value: full_lp_value raises instead."""
+    from scflp import bnc
+
+    rng = np.random.default_rng(13)
+    inst = [random_instance(rng, m=3, n=5) for _ in range(3)][-1]
+    assert full_lp_value(inst, "GSF") == pytest.approx(9.5, abs=1e-9)
+    monkeypatch.setattr(bnc, "ROOT_SEP_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match="round_cap"):
+        full_lp_value(inst, "GSF")
