@@ -24,7 +24,8 @@ from .cuts import Cut, ef_cut, improved_cut, sigma_order, submodular_cut, tight_
 from .instance import Instance
 from .lp import LpModel, lp_solve
 from .market import follower_best_response, indicator, response_costs
-from .separation import EPS_VIOL, INT_TOL, FollowerPool, RelaxPoint, separate_ef, separate_gsf, separate_sf
+from .separation import FollowerPool, RelaxPoint, separate_ef, separate_gsf, separate_sf
+from .tolerances import EPS_VIOL, INT_TOL, PRUNE_SLACK
 
 FORMULATIONS = ("SF", "GSF", "EF")
 SEP_ROUNDS = 50  # fractional separation rounds per tree node
@@ -239,8 +240,7 @@ class _Search:
 
 
 def _at_most(a: float, b: float) -> bool:
-    # prune epsilon keeps the certified objective within 2e-10 of the truth
-    return a <= b + 2e-10 * (1.0 + abs(b))
+    return a <= b + PRUNE_SLACK * (1.0 + abs(b))
 
 
 def _dominated(bound: float, lb: float, gap_tol: float) -> bool:

@@ -21,9 +21,8 @@ import numpy as np
 from .instance import Instance
 from .market import compute_cy
 from .rmedian import RMedianInstance
+from .tolerances import UNIT_SLACK as _UNIT_SLACK
 
-# prefix mass of an LP point is treated as reaching 1 within this slack
-_UNIT_SLACK = 1e-9
 # the separation-cost kernels work on blocks of customers whose
 # (block, n, n) temporary takes about this many bytes: a few blocks fit in
 # cache, and the whole (m, n, n) array at m = n = 100 would take 8 MB
@@ -75,15 +74,22 @@ def submodular_cut(inst: Instance, y, S, cy: np.ndarray | None = None) -> Cut:
 
 
 def improved_cut(inst: Instance, y, ell, cy: np.ndarray | None = None) -> Cut:
-    """Per-customer cut for follower choice y and anchor vector ell."""
+    """Per-customer cut for follower choice y and anchor vector ell.
+
+    Constant and coefficients are one in-order sum over customers of the
+    terms [w_i c[i, ell_i], w_i (c[i, :] - c[i, ell_i])^+] (``np.add.reduce``
+    over axis 0, where a BLAS product may fuse or reorder), so the cut
+    equals the in-order sum of its one-customer cuts bit for bit."""
     c = compute_cy(inst, y) if cy is None else cy
     ell = np.asarray(ell, dtype=int)
-    anchors = np.zeros(inst.m)
+    terms = np.zeros((inst.m, 1 + inst.n))
     real = ell < inst.n
-    anchors[real] = c[real, ell[real]]
-    constant = float(inst.w @ anchors)
-    xcoef = inst.w @ np.maximum(c - anchors[:, None], 0.0)
-    return Cut("GSF", constant, xcoef, None, ("GSF", _key(y), tuple(ell.tolist())))
+    terms[real, 0] = c[real, ell[real]]
+    np.subtract(c, terms[:, :1], out=terms[:, 1:])
+    np.maximum(terms, 0.0, out=terms)  # the anchor column is >= 0 already
+    terms *= inst.w[:, None]
+    total = np.add.reduce(terms, axis=0)
+    return Cut("GSF", float(total[0]), total[1:], None, ("GSF", _key(y), tuple(ell.tolist())))
 
 
 def _prefix_lengths(xs_sorted: np.ndarray) -> np.ndarray:

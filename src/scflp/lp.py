@@ -57,6 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tolerances import FEAS_TOL
+
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
@@ -85,8 +87,6 @@ def _load_highs_core():
 
 
 highs_core = _load_highs_core()
-
-FEAS_TOL = 1e-7
 
 _MS = highs_core.HighsModelStatus
 _STATUS = {_MS.kOptimal: "optimal", _MS.kInfeasible: "infeasible", _MS.kUnbounded: "unbounded"}

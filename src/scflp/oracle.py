@@ -20,7 +20,7 @@ from .bnc import BncConfig, _Search, add_cut_row, build_model
 from .cuts import ef_cut, improved_cut, submodular_cut
 from .instance import Instance
 from .lp import lp_solve
-from .market import indicator
+from .market import compute_cy, indicator
 from .rmedian import CapExceededError
 
 TIE_TOL = 1e-12
@@ -123,8 +123,9 @@ def enumerate_gsf_value(inst: Instance, ell_cap: int = 100_000) -> float:
     model = build_model(inst, "GSF")
     for y_combo in itertools.combinations(range(inst.n), inst.r):
         y = indicator(inst.n, y_combo)
+        cy = compute_cy(inst, y)
         for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
-            add_cut_row(model, inst, improved_cut(inst, y, np.array(ell)))
+            add_cut_row(model, inst, improved_cut(inst, y, np.array(ell), cy))
     res = lp_solve(model)
     if res.status != "optimal":
         raise RuntimeError(f"GSF enumeration LP failed: {res.status}")

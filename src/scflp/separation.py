@@ -17,9 +17,7 @@ from .cuts import Cut, ef_cut, ef_separation_costs, gsf_separation_costs, improv
 from .instance import Instance
 from .market import compute_cy, indicator, response_costs
 from .rmedian import RMedianInstance, rmedian_solve
-
-EPS_VIOL = 1e-6  # absolute violation threshold
-INT_TOL = 1e-6  # distance within which a leader variable counts as integral
+from .tolerances import EPS_VIOL, INT_TOL
 
 
 class FollowerPool:

@@ -43,26 +43,46 @@ class HullCheckReport:
     max_discrepancy: float
 
 
-def _anchor_polytope(inst: Instance, y) -> LpModel:
-    """eta and x columns, every anchor cut for y, unit box, no cardinality row."""
-    total = (inst.n + 1) ** inst.m
+def _anchor_rows(inst: Instance, y, cy: np.ndarray) -> np.ndarray:
+    """Every anchor cut for y as a ((n+1)^m, 1 + n) array of [constant,
+    x-coefficients] rows, anchor vectors in itertools.product order.
+
+    A cut is a sum over customers of per-customer terms, and improved_cut
+    sums them in customer order; so the n+1 one-customer cuts of each
+    customer, added up in that order by broadcasting, give every row bit
+    for bit as improved_cut would, with m (n+1) calls instead of (n+1)^m."""
+    n = inst.n
+    total = (n + 1) ** inst.m
     if total > 200_000:
         raise CapExceededError(f"(n+1)^m = {total} anchor cuts is too many")
+    rows = None
+    for i in range(inst.m):
+        alone = Instance(m=1, n=n, w=inst.w[i : i + 1], v=inst.v[i : i + 1], p=inst.p, r=inst.r)
+        terms = np.empty((n + 1, 1 + n))
+        for ell in range(n + 1):
+            cut = improved_cut(alone, y, (ell,), cy[i : i + 1])
+            terms[ell, 0] = cut.constant
+            terms[ell, 1:] = cut.xcoef
+        rows = terms if rows is None else (rows[:, None, :] + terms).reshape(-1, 1 + n)
+    return rows
+
+
+def _anchor_polytope(inst: Instance, y) -> LpModel:
+    """eta and x columns, every anchor cut for y, unit box, no cardinality row."""
     obj = np.zeros(1 + inst.n)
     lower = np.concatenate(([-np.inf], np.zeros(inst.n)))
     upper = np.concatenate(([np.inf], np.ones(inst.n)))
     model = LpModel(obj, lower, upper, ["eta"] + [f"x{j}" for j in range(inst.n)])
-    cy = compute_cy(inst, y)
-    cuts = [improved_cut(inst, y, np.array(ell), cy) for ell in itertools.product(range(inst.n + 1), repeat=inst.m)]
+    rows = _anchor_rows(inst, y, compute_cy(inst, y))
     # dense rows [1, -xcoef] over (eta, x); add_rows drops the zeros
-    dense = np.ones((len(cuts), 1 + inst.n))
-    dense[:, 1:] = -np.array([cut.xcoef for cut in cuts])
+    dense = np.ones_like(rows)
+    np.negative(rows[:, 1:], out=dense[:, 1:])
     model.add_rows(
         np.arange(0, dense.size + 1, 1 + inst.n),
-        np.tile(np.arange(1 + inst.n), len(cuts)),
+        np.tile(np.arange(1 + inst.n), len(rows)),
         dense.ravel(),
         "<=",
-        [cut.constant for cut in cuts],
+        rows[:, 0],
     )
     return model
 
@@ -99,10 +119,8 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
     anchor = _anchor_polytope(inst, y)
     assign = _assignment_polytope(inst, y)
     cy = compute_cy(inst, y)
-    corners = []
-    for bits in itertools.product((0, 1), repeat=inst.n):
-        x = np.array(bits, dtype=float)
-        corners.append((x, share_of_set(cy, inst.w, open_sites(x))))
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n)))  # (2^n, n)
+    values = np.array([share_of_set(cy, inst.w, open_sites(x)) for x in corners])
     worst = 0.0
     for _ in range(trials):
         d = rng.normal(size=1 + inst.n)
@@ -113,7 +131,7 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
         alpha, beta = float(d[0]), d[1:]
         s_anchor = _support(anchor, alpha, beta)
         s_assign = _support(assign, alpha, beta)
-        s_points = max(alpha * g + float(beta @ x) for x, g in corners)
+        s_points = float((alpha * values + corners @ beta).max())
         worst = max(
             worst,
             abs(s_anchor - s_assign),
@@ -126,15 +144,9 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
 def verify_prop61(inst: Instance, xstar, y) -> float:
     """|min over all anchor vectors of the cut RHS at xstar - weighted
     r-median value of the separation costs under y|; expected 0."""
-    total = (inst.n + 1) ** inst.m
-    if total > 200_000:
-        raise CapExceededError(f"(n+1)^m = {total} anchor vectors is too many")
     xstar = np.asarray(xstar, dtype=float)
-    cy = compute_cy(inst, y)
-    best = math.inf
-    for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
-        cut = improved_cut(inst, y, np.array(ell), cy)
-        best = min(best, cut.rhs_at(xstar))
+    rows = _anchor_rows(inst, y, compute_cy(inst, y))
+    best = float((rows[:, 0] + rows[:, 1:] @ xstar).min())
     rm = gsf_separation_costs(inst, xstar)
     ys = open_sites(y)
     reduced = float(inst.w @ rm.cost[:, ys].min(axis=1))

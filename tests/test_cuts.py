@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scflp import GeneratorParams, compute_cy, generate_instance, leader_share
+from scflp import GeneratorParams, Instance, compute_cy, generate_instance, leader_share
 from scflp.cuts import (
     _BLOCK_BYTES,
     _key,
@@ -371,3 +371,26 @@ def test_provenance_keys_match_generator_version():
         prov = improved_cut(inst, np.array([1, 0, 1], dtype=np.int8), ell).provenance
         assert prov == ("GSF", (1, 0, 1), tuple(int(l) for l in np.asarray(ell, dtype=int)))
         assert all(type(l) is int for l in prov[2])
+
+
+def test_improved_cut_is_in_order_sum_of_one_customer_cuts():
+    """Constant and coefficients equal the one-customer cuts added in
+    customer order, bit for bit (verify builds its anchor rows on this).
+    From m = 8 on, a 1-D numpy sum or a BLAS product adds in another order."""
+    rng = np.random.default_rng(97)
+    for m in range(1, 13):
+        for _ in range(25):
+            n = int(rng.integers(1, 9))
+            w = rng.uniform(0.1, 100.0, size=m)
+            v = rng.uniform(0.1, 3.0, size=(m, n))
+            inst = Instance(m=m, n=n, w=w, v=v, p=1, r=int(rng.integers(1, n + 1)))
+            y = random_choice(rng, n, inst.r)
+            ell = rng.integers(0, n + 1, size=m)
+            cut = improved_cut(inst, y, ell)
+            constant, xcoef = 0.0, np.zeros(n)
+            for i in range(m):
+                alone = Instance(m=1, n=n, w=w[i : i + 1], v=v[i : i + 1], p=1, r=inst.r)
+                part = improved_cut(alone, y, ell[i : i + 1])
+                constant, xcoef = constant + part.constant, xcoef + part.xcoef
+            assert cut.constant == constant
+            assert np.array_equal(cut.xcoef, xcoef)

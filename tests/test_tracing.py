@@ -5,6 +5,7 @@ those bindings fail the test suite, not only a traced benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -33,3 +34,31 @@ def test_tracer_installs_every_binding_and_restores_them():
     finally:
         tracer.uninstall()
     assert all(_binding(name) is before[name] for name in names)
+
+
+def test_traced_hull_probe_sees_every_expected_hook(monkeypatch):
+    """Run hull_probe's operations under the tracer as the traced benchmark
+    does (one root span per operation): every hook the workload expects,
+    verify_hull's calls into improved_cut among them, must fire, and every
+    result must pass the workload's own check."""
+    tracing = _load_tracing()
+    path = TRACING.with_name("workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+
+    wl = workloads.hull_probe()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op_id, op in enumerate(wl.ops):
+            tracer.begin("op", op=op_id)
+            try:
+                result = op.run()
+            finally:
+                tracer.end()
+            assert op.check(result) is None, op.name
+    finally:
+        tracer.uninstall()
+    assert wl.expected_hooks <= tracer.seen()

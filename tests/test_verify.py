@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from scflp import Instance, compute_cy
-from scflp.cuts import ef_cut, improved_cut
+from scflp.cuts import ef_cut, gsf_separation_costs, improved_cut
+from scflp.market import open_sites
+from scflp.rmedian import CapExceededError
 from scflp.verify import (
     _anchor_polytope,
     _assignment_polytope,
@@ -164,3 +166,44 @@ def test_verify_polytopes_match_per_row_reference():
         cells = [(1 + n + i * n + j, -zcoef[i, j]) for i in range(m) for j in range(n) if zcoef[i, j] != 0.0]
         expected.append(("<=", 0.0, [(0, 1.0)] + cells))
         assert [(r.sense, r.rhs, list(r.coef.items())) for r in assign.rows] == expected
+
+
+def test_anchor_polytope_matches_per_row_cuts_on_hull_gap_instance():
+    """All 7^4 = 2401 rows of the pinned instance's anchor polytope equal
+    the per-row improved_cut rows, in order, bit for bit."""
+    inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
+    cy = compute_cy(inst, HULL_GAP_Y)
+    rows = _anchor_polytope(inst, HULL_GAP_Y).rows
+    anchors = list(itertools.product(range(7), repeat=4))
+    assert len(rows) == len(anchors) == 2401
+    for row, ell in zip(rows, anchors):
+        cut = improved_cut(inst, HULL_GAP_Y, np.array(ell), cy)
+        coef = [(0, 1.0)] + [(1 + j, -c) for j, c in enumerate(cut.xcoef) if c != 0.0]
+        assert (row.sense, row.rhs, list(row.coef.items())) == ("<=", cut.constant, coef)
+
+
+def test_prop61_equals_literal_minimum_over_anchor_vectors():
+    rng = np.random.default_rng(41)
+    cases = [(Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5), HULL_GAP_Y)]
+    for _ in range(12):
+        inst = random_instance(rng, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 5)))
+        cases.append((inst, random_choice(rng, inst.n, inst.r)))
+    for inst, y in cases:
+        x = rng.uniform(0.0, 1.0, size=inst.n)
+        cy = compute_cy(inst, y)
+        literal = min(
+            improved_cut(inst, y, np.array(ell), cy).rhs_at(x)
+            for ell in itertools.product(range(inst.n + 1), repeat=inst.m)
+        )
+        reduced = float(inst.w @ gsf_separation_costs(inst, x).cost[:, open_sites(y)].min(axis=1))
+        assert abs(verify_prop61(inst, x, y) - abs(literal - reduced)) <= 1e-12
+
+
+def test_anchor_checks_refuse_more_than_200k_anchor_vectors():
+    rng = np.random.default_rng(43)
+    inst = random_instance(rng, m=7, n=6)  # 7^7 = 823543 anchor vectors
+    y = random_choice(rng, inst.n, inst.r)
+    with pytest.raises(CapExceededError):
+        _anchor_polytope(inst, y)
+    with pytest.raises(CapExceededError):
+        verify_prop61(inst, np.full(inst.n, 0.5), y)
