@@ -11,7 +11,7 @@ brute-force oracle, and structural verification checks.
 
 from .instance import GeneratorParams, Instance, InstanceError, generate_instance, load_instance, save_instance
 from .market import compute_cy, follower_best_response, leader_share
-from .rmedian import RMedianConfig, RMedianInstance, rmedian_enumerate, rmedian_solve
+from .rmedian import RMedianInstance, rmedian_enumerate, rmedian_solve
 from .bnc import BncConfig, SolveReport, root_relaxation, solve
 from .oracle import OracleReport, brute_force_solve, full_lp_value
 
@@ -21,7 +21,6 @@ __all__ = [
     "Instance",
     "InstanceError",
     "OracleReport",
-    "RMedianConfig",
     "RMedianInstance",
     "SolveReport",
     "brute_force_solve",

@@ -38,22 +38,20 @@ class BncConfig:
     time_limit: float = 7200.0
     gap_tol: float = 0.0  # relative; solve certifies (UB - LB)/UB <= gap_tol
     eps_viol: float = EPS_VIOL
-    int_tol: float = INT_TOL
 
     def __post_init__(self):
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"unknown formulation {self.formulation!r}")
-        if self.time_limit <= 0:
-            raise ValueError("time limit must be positive")
-        if self.gap_tol < 0:
-            raise ValueError("gap tolerance must be nonnegative")
+        if not self.time_limit > 0:  # also refuses nan
+            raise ValueError(f"time limit must be positive, got {self.time_limit}")
+        if not self.gap_tol >= 0:
+            raise ValueError(f"gap tolerance must be nonnegative, got {self.gap_tol}")
 
 
 @dataclass
 class SolveReport:
     """Solve outcome plus the usual search statistics."""
 
-    instance_digest: str
     formulation: str
     objective: float  # best incumbent value (exact best-response evaluation)
     best_x: np.ndarray | None
@@ -172,7 +170,7 @@ class _Search:
         z = None
         if self.cfg.formulation == "EF":
             z = res.x[1 + n :].reshape(self.inst.m, n)
-        return RelaxPoint(eta=res.x[0], x=x, z=z, int_tol=self.cfg.int_tol)
+        return RelaxPoint(eta=res.x[0], x=x, z=z)
 
     def separate(self, pt: RelaxPoint) -> list[Cut]:
         t = time.perf_counter()
@@ -265,22 +263,21 @@ def _tight_cut(search: _Search, xint: np.ndarray, y_star: np.ndarray) -> Cut:
     return ef_cut(inst, y_star)
 
 
-def _most_fractional(x: np.ndarray, tol: float) -> int:
+def _most_fractional(x: np.ndarray) -> int:
     frac = 0.5 - np.abs(x - 0.5)
-    frac[np.abs(x - np.round(x)) <= tol] = -1.0
+    frac[np.abs(x - np.round(x)) <= INT_TOL] = -1.0
     return int(np.argmax(frac))
 
 
 def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
     """Run the branch-and-cut search; see the module docstring."""
-    digest = inst.digest()
     t0 = time.perf_counter()
 
     if inst.p == inst.n:  # single leader choice
         x = indicator(inst.n, range(inst.n))
         val = _exact_value(inst, x)
         dt = time.perf_counter() - t0
-        return SolveReport(digest, cfg.formulation, val, x, val, 0.0, 0, 0, 0.0, dt, val, 0.0, "optimal")
+        return SolveReport(cfg.formulation, val, x, val, 0.0, 0, 0, 0.0, dt, val, 0.0, "optimal")
 
     search = _Search(inst, cfg, events)
     n = inst.n
@@ -355,7 +352,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
                 lb, best_x = val, xint
             continue
         # branch on the most fractional leader variable
-        j_star = _most_fractional(pt.x, cfg.int_tol)
+        j_star = _most_fractional(pt.x)
         up = (fix0, fix1 | {j_star})
         down = (fix0 | {j_star}, fix1)
         for child0, child1 in (up, down):
@@ -373,7 +370,6 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         rg = (root_bound - objective) / objective * 100.0
     dt = time.perf_counter() - t0
     report = SolveReport(
-        digest,
         cfg.formulation,
         objective,
         best_x,

@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, oracle, verify, bench.
 
 Exit codes: 0 success, 1 a solve finished on a limit or a ``verify`` check
-reported FAIL, 2 usage errors, unreadable inputs or unwritable outputs.
+reported FAIL, 2 usage errors, invalid option values, unreadable inputs,
+unwritable outputs or instances beyond a command's enumeration cap.
 All numeric output uses fixed formats so repeated runs with identical seeds
 and limits produce identical result columns.
 """
@@ -12,16 +13,24 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .bnc import CSV_HEADER, FORMULATIONS, BncConfig, solve
 from .instance import GeneratorParams, InstanceError, generate_instance, load_instance, save_instance
 from .oracle import brute_force_solve
+from .rmedian import CapExceededError
 from .verify import verify_aggregation, verify_hull, verify_prop61
 
 USAGE_ERROR = 2
 LIMIT_EXIT = 1
+
+
+def _refuse(message: str) -> NoReturn:
+    """One error line on stderr, then exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
 
 
 def _read_instance(path: str):
@@ -29,11 +38,9 @@ def _read_instance(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return load_instance(fh)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
+        _refuse(f"cannot read {path}: {exc}")
     except InstanceError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
+        _refuse(f"{path}: {exc}")
 
 
 def _open_out(path: str | None):
@@ -44,8 +51,15 @@ def _open_out(path: str | None):
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
+        _refuse(f"cannot write {path}: {exc}")
+
+
+def _config(form: str, args) -> BncConfig:
+    """The solver settings of one formulation, checked before any work."""
+    try:
+        return BncConfig(formulation=form, time_limit=args.time_limit, gap_tol=args.gap)
+    except ValueError as exc:
+        _refuse(str(exc))
 
 
 def _write_text(path: str | None, text: str):
@@ -110,18 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     params = GeneratorParams(style=args.style, m=args.m, n=args.n, p=args.p, r=args.r, seed=args.seed)
-    try:
-        inst = generate_instance(params)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    _write_text(args.out, save_instance(inst))
+    _write_text(args.out, save_instance(generate_instance(params)))
     return 0
 
 
 def _cmd_solve(args) -> int:
+    cfg = _config(args.form, args)
     inst = _read_instance(args.path)
-    cfg = BncConfig(formulation=args.form, time_limit=args.time_limit, gap_tol=args.gap)
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(_open_out(args.out))
         events = stack.enter_context(_open_out(args.events)) if args.events else None
@@ -159,6 +168,9 @@ def _cmd_verify(args) -> int:
     if unknown or not checks:
         print(f"error: bad check list {args.checks!r}", file=sys.stderr)
         return USAGE_ERROR
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return USAGE_ERROR
     rng = np.random.default_rng(args.seed)
     lines = []
     ok = True
@@ -193,35 +205,28 @@ def _cmd_verify(args) -> int:
 
 
 def _bench_task(payload):
-    """Worker body: one (instance, formulation) solve to a CSV row."""
-    text, label, form, time_limit, gap = payload
-    inst = load_instance(text)
-    report = solve(inst, BncConfig(formulation=form, time_limit=time_limit, gap_tol=gap))
-    return report.csv_row(label), report.status, report.total_time_s, form
+    """Worker body: one (instance, settings) solve to a CSV row."""
+    text, label, cfg = payload
+    report = solve(load_instance(text), cfg)
+    return report.csv_row(label), report.status, report.total_time_s, cfg.formulation
 
 
 def _cmd_bench(args) -> int:
     forms = [f.strip() for f in args.form.split(",") if f.strip()]
-    bad = set(forms) - set(FORMULATIONS)
-    if bad:
-        print(f"error: unknown formulations {sorted(bad)}", file=sys.stderr)
-        return USAGE_ERROR
+    configs = [_config(form, args) for form in forms]
 
     tasks = []
     if args.path:
-        inst = _read_instance(args.path)
-        label = Path(args.path).name
-        for form in forms:
-            tasks.append((save_instance(inst), label, form, args.time_limit, args.gap))
+        text = save_instance(_read_instance(args.path))
+        tasks += [(text, Path(args.path).name, cfg) for cfg in configs]
     else:
         idx = 0
         for p in args.p:
             for r in args.r:
                 params = GeneratorParams(style=args.style, m=args.m, n=args.n, p=p, r=r, seed=args.seed + idx)
-                inst = generate_instance(params)
+                text = save_instance(generate_instance(params))
                 label = f"{args.style}_m{args.m}_n{args.n}_p{p}_r{r}_s{args.seed + idx}"
-                for form in forms:
-                    tasks.append((save_instance(inst), label, form, args.time_limit, args.gap))
+                tasks += [(text, label, cfg) for cfg in configs]
                 idx += 1
 
     with _open_out(args.out) as csv:
@@ -262,7 +267,10 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "bench": _cmd_bench,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (CapExceededError, InstanceError) as exc:
+        _refuse(str(exc))
 
 
 if __name__ == "__main__":

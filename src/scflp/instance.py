@@ -16,7 +16,6 @@ locale independent, decimal point only).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +64,6 @@ class Instance:
     @property
     def total_demand(self) -> float:
         return float(self.w.sum())
-
-    def digest(self) -> str:
-        """Short content hash used to identify instances in reports."""
-        return hashlib.sha256(save_instance(self).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import Instance
-from .rmedian import RMedianConfig, RMedianInstance, rmedian_enumerate, rmedian_solve
+from .rmedian import RMedianInstance, rmedian_enumerate, rmedian_solve
 
 
 def open_sites(bits) -> np.ndarray:
@@ -86,13 +86,7 @@ def response_costs(inst: Instance, x) -> RMedianInstance:
     return RMedianInstance(cost=a, w=inst.w, r=inst.r)
 
 
-def follower_best_response(
-    inst: Instance,
-    x,
-    mode: str = "rmedian",
-    enum_cap: int = 2_000_000,
-    cfg: RMedianConfig | None = None,
-):
+def follower_best_response(inst: Instance, x, mode: str = "rmedian", enum_cap: int = 2_000_000):
     """Minimize the leader share over follower choices; returns (y, value).
 
     ``rmedian`` solves the cost reduction exactly with the branch-and-bound
@@ -104,7 +98,7 @@ def follower_best_response(
     if mode == "enumerate":
         sites, value = rmedian_enumerate(rm, cap=enum_cap)
     elif mode == "rmedian":
-        sites, value, status = rmedian_solve(rm, cfg)
+        sites, value, status = rmedian_solve(rm)
         if status != "optimal":
             raise RuntimeError(f"best-response solve hit a limit (status={status})")
     else:

@@ -70,6 +70,24 @@ def brute_force_solve(inst: Instance, cap: int = 10_000_000, collect_responses: 
     return OracleReport(value=best, optimal_x=optimal_x, responses=responses)
 
 
+def _follower_choices(inst: Instance):
+    """Indicator vectors of every follower choice, lexicographic order."""
+    for combo in itertools.combinations(range(inst.n), inst.r):
+        yield indicator(inst.n, combo)
+
+
+def _explicit_value(inst: Instance, formulation: str, cuts) -> float:
+    """LP value of the formulation's base model plus one row per cut, the
+    rows added in the order the cuts come."""
+    model = build_model(inst, formulation)
+    for cut in cuts:
+        add_cut_row(model, inst, cut)
+    res = lp_solve(model)
+    if res.status != "optimal":
+        raise RuntimeError(f"{formulation} explicit-family LP failed: {res.status}")
+    return res.objective
+
+
 def full_lp_value(
     inst: Instance,
     formulation: str,
@@ -85,24 +103,11 @@ def full_lp_value(
         total = (2**inst.n) * n_y
         if total > row_cap:
             raise CapExceededError(f"SF needs {total} rows, above cap {row_cap}")
-        model = build_model(inst, "SF")
-        for y_combo in itertools.combinations(range(inst.n), inst.r):
-            y = indicator(inst.n, y_combo)
-            for size in range(inst.n + 1):
-                for S in itertools.combinations(range(inst.n), size):
-                    add_cut_row(model, inst, submodular_cut(inst, y, S))
-        res = lp_solve(model)
-        if res.status != "optimal":
-            raise RuntimeError(f"SF relaxation LP failed: {res.status}")
-        return res.objective
+        subsets = [S for size in range(inst.n + 1) for S in itertools.combinations(range(inst.n), size)]
+        cuts = (submodular_cut(inst, y, S) for y in _follower_choices(inst) for S in subsets)
+        return _explicit_value(inst, "SF", cuts)
     if formulation == "EF":
-        model = build_model(inst, "EF")
-        for y_combo in itertools.combinations(range(inst.n), inst.r):
-            add_cut_row(model, inst, ef_cut(inst, indicator(inst.n, y_combo)))
-        res = lp_solve(model)
-        if res.status != "optimal":
-            raise RuntimeError(f"EF relaxation LP failed: {res.status}")
-        return res.objective
+        return _explicit_value(inst, "EF", (ef_cut(inst, y) for y in _follower_choices(inst)))
     if formulation != "GSF":
         raise ValueError(f"unknown formulation {formulation!r}")
     search = _Search(inst, BncConfig(formulation="GSF", eps_viol=eps))
@@ -120,13 +125,11 @@ def enumerate_gsf_value(inst: Instance, ell_cap: int = 100_000) -> float:
     n_ell = (inst.n + 1) ** inst.m
     if n_ell > ell_cap:
         raise CapExceededError(f"(n+1)^m = {n_ell} exceeds cap {ell_cap}")
-    model = build_model(inst, "GSF")
-    for y_combo in itertools.combinations(range(inst.n), inst.r):
-        y = indicator(inst.n, y_combo)
-        cy = compute_cy(inst, y)
-        for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
-            add_cut_row(model, inst, improved_cut(inst, y, np.array(ell), cy))
-    res = lp_solve(model)
-    if res.status != "optimal":
-        raise RuntimeError(f"GSF enumeration LP failed: {res.status}")
-    return res.objective
+
+    def anchor_cuts():
+        for y in _follower_choices(inst):
+            cy = compute_cy(inst, y)
+            for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
+                yield improved_cut(inst, y, np.array(ell), cy)
+
+    return _explicit_value(inst, "GSF", anchor_cuts())

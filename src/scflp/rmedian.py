@@ -22,7 +22,7 @@ Costs are nonnegative, so an incumbent of exactly zero can only be tied:
 nodes whose lexicographically smallest completion sorts after it are pruned
 (the zero floor).  Incumbents come from greedy construction plus
 first-improvement swaps, scored in batches by the same evaluator; nodes with
-at most ``enum_chunk`` completions are scanned outright.
+at most ``_ENUM_CHUNK`` completions are scanned outright.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ import numpy as np
 # site sets per evaluator call in a scan; larger blocks raise peak memory
 # (the (K, m) minima matrix) without making the scan faster
 _SCAN_CHUNK = 256
+# a node with at most this many completions is scanned, not branched on
+_ENUM_CHUNK = 4096
+# subgradient iterations per node bound
+_SUBGRAD_ITERS = 200
 # non-improving subgradient iterations before the step factor halves
 _STALL_ITERS = 10
 
@@ -78,13 +82,6 @@ class RMedianInstance:
     def cost_t(self) -> np.ndarray:
         """(n, m) C-contiguous transpose: one site's costs are one row."""
         return np.ascontiguousarray(self.cost.T)
-
-
-@dataclass(frozen=True)
-class RMedianConfig:
-    time_limit: float | None = None
-    enum_chunk: int = 4096  # complete a node by enumeration below this size
-    subgrad_iters: int = 200
 
 
 def _tol(u: float) -> float:
@@ -217,18 +214,20 @@ def _lagrangian_bound(
     return best
 
 
-def rmedian_solve(rm: RMedianInstance, cfg: RMedianConfig | None = None):
+def rmedian_solve(rm: RMedianInstance, time_limit: float | None = None):
     """Exact branch-and-bound; returns (sites, value, status).
 
-    status is "optimal" unless the time limit interrupts the search, in
-    which case the best incumbent found is returned with status "limit".
+    status is "optimal" unless ``time_limit`` (seconds) interrupts the
+    search, in which case the best incumbent found is returned with status
+    "limit".  The limit is honoured only once an incumbent exists: a root
+    that is one scan runs it (at most ``_ENUM_CHUNK`` evaluations), a
+    larger root starts from the greedy incumbent.
     """
-    cfg = cfg or RMedianConfig()
     n, r = rm.n, rm.r
     t0 = time.perf_counter()
 
     # a search that is one scan at the root needs no starting incumbent
-    incumbent, ub = _greedy_swap(rm) if math.comb(n, r) > cfg.enum_chunk else ((), math.inf)
+    incumbent, ub = _greedy_swap(rm) if math.comb(n, r) > _ENUM_CHUNK else ((), math.inf)
     t = None  # weighted costs, built for the first node that needs a Lagrangian bound
 
     # heap of (bound, tiebreak, forced_in tuple, forced_out frozenset,
@@ -244,10 +243,10 @@ def rmedian_solve(rm: RMedianInstance, cfg: RMedianConfig | None = None):
         q = r - len(fin)
         if ub == 0.0 and tuple(sorted(fin + tuple(free[:q]))) > incumbent:
             continue  # zero floor: every completion ties at best and none sorts first
-        if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
+        if incumbent and time_limit is not None and time.perf_counter() - t0 > time_limit:
             status = "limit"
             break
-        if math.comb(len(free), q) <= cfg.enum_chunk:
+        if math.comb(len(free), q) <= _ENUM_CHUNK:
             base = rm.cost[:, list(fin)].min(axis=1) if fin else None
             val, sites = _scan(rm, fin, free, q, base)
             if val < ub or (val == ub and sites < incumbent):
@@ -258,7 +257,7 @@ def rmedian_solve(rm: RMedianInstance, cfg: RMedianConfig | None = None):
         allowed = list(fin) + free
         sub_t = t[:, allowed]
         u = sub_t.min(axis=1) if u is None else u.copy()
-        node_bound = _lagrangian_bound(sub_t, len(fin), q, ub, cfg.subgrad_iters, u)
+        node_bound = _lagrangian_bound(sub_t, len(fin), q, ub, _SUBGRAD_ITERS, u)
         node_bound = max(node_bound, bound)
         if node_bound >= ub + _tol(ub):
             continue

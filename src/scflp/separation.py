@@ -68,26 +68,24 @@ class FollowerPool:
 @dataclass(frozen=True)
 class RelaxPoint:
     """LP solution handed to the oracles: objective value eta, leader
-    vector x in [0,1]^n, allocations z (extended formulation only), and the
-    tolerance within which x counts as integral."""
+    vector x in [0,1]^n and allocations z (extended formulation only)."""
 
     eta: float
     x: np.ndarray
     z: np.ndarray | None = None
-    int_tol: float = INT_TOL
-    integral: bool = field(init=False)  # is_integral(x, int_tol), computed once
+    integral: bool = field(init=False)  # is_integral(x), computed once
 
     def __post_init__(self):
-        object.__setattr__(self, "integral", is_integral(self.x, self.int_tol))
+        object.__setattr__(self, "integral", is_integral(self.x))
 
 
 def _violated(cut: Cut, pt: RelaxPoint, eps: float) -> bool:
     return pt.eta > cut.rhs_at(pt.x, pt.z) + eps
 
 
-def is_integral(x, tol: float = INT_TOL) -> bool:
+def is_integral(x) -> bool:
     x = np.asarray(x)
-    return bool((np.abs(x - x.round()) <= tol).all())
+    return bool((np.abs(x - x.round()) <= INT_TOL).all())
 
 
 def _exact(rm: RMedianInstance, pool: FollowerPool | None):

@@ -37,7 +37,6 @@ from .rmedian import CapExceededError
 
 @dataclass(frozen=True)
 class HullCheckReport:
-    instance_digest: str
     y: tuple
     trials: int
     max_discrepancy: float
@@ -138,7 +137,7 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
             abs(s_anchor - s_points),
             abs(s_assign - s_points),
         )
-    return HullCheckReport(inst.digest(), tuple(int(b) for b in np.asarray(y)), trials, worst)
+    return HullCheckReport(tuple(int(b) for b in np.asarray(y)), trials, worst)
 
 
 def verify_prop61(inst: Instance, xstar, y) -> float:

@@ -186,17 +186,24 @@ def test_bulk_ef_model_matches_per_row_reference(golden):
 
 
 def test_cut_loop_and_sf_separation_share_one_integrality_tolerance():
-    """The loop builds its points with cfg.int_tol, and SF separation reads
-    the same flag: a point 1e-5 from integral under int_tol=1e-4 gets the
-    exact pass, so certifying it does not rest on the incumbent re-check."""
+    """The loop's points and SF separation read the one tolerance: a point
+    1e-7 from integral gets the exact pass, so certifying it does not rest
+    on the incumbent re-check; a point 1e-5 from integral gets none."""
     rng = np.random.default_rng(37)
     inst = random_instance(rng, m=4, n=6, p=2, r=2)
-    search = _Search(inst, BncConfig(formulation="SF", int_tol=1e-4))
-    x = np.array([1.0, 1e-5, 1.0 - 1e-5, 0.0, 1e-5, 0.0])
-    pt = search.point(SimpleNamespace(x=np.concatenate(([inst.total_demand], x))))
-    assert pt.int_tol == 1e-4 and pt.integral
-    assert len(search.separate(pt)) == 1
-    assert search.pool.last_solve is not None and len(search.pool) == 1
+    xint = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    for offset, integral in ((1e-7, True), (1e-5, False)):
+        search = _Search(inst, BncConfig(formulation="SF"))
+        x = np.abs(xint - offset)
+        pt = search.point(SimpleNamespace(x=np.concatenate(([inst.total_demand], x))))
+        assert pt.integral is integral
+        cuts = search.separate(pt)
+        if integral:
+            assert len(cuts) == 1 and len(search.pool) == 1
+            y_star, value = follower_best_response(inst, xint)
+            assert tuple(next(iter(search.pool))) == tuple(y_star) and search.pool.last_solve[2] == value
+        else:
+            assert cuts == [] and search.pool.last_solve is None
 
 
 def test_reused_best_response_equals_follower_best_response(monkeypatch):

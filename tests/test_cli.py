@@ -172,3 +172,53 @@ def test_verify_exits_1_when_a_check_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "hull: FAIL" in out
     assert code == 1
+
+
+def _refusal(argv, capsys) -> str:
+    """Run main on argv and return its one stderr line, after checking that
+    it ended with exit code 2 (returned or raised) and printed nothing else."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured
+    return captured.err
+
+
+def test_invalid_solver_settings_exit_2(golden_file, tmp_path, capsys):
+    """A time limit that is not positive (nan included) or a negative gap is
+    refused with one error line, and bench refuses it before it opens its
+    CSV: an existing file keeps its contents."""
+    for flags in (["--time-limit", "0"], ["--time-limit", "nan"], ["--gap", "-1"]):
+        _refusal(["solve", "--in", golden_file] + flags, capsys)
+    out = tmp_path / "kept.csv"
+    out.write_text("old\n")
+    err = _refusal(["bench", "--in", golden_file, "--form", "GSF", "--time-limit", "-1", "--out", str(out)], capsys)
+    assert "time limit" in err
+    assert out.read_text() == "old\n"
+
+
+def test_bench_with_an_invalid_generated_instance_exits_2(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    err = _refusal(["bench", "--m", "4", "--n", "4", "--p", "5", "--r", "2", "--out", str(out)], capsys)
+    assert "p=5" in err
+    assert not out.exists()
+
+
+def test_instances_beyond_an_enumeration_cap_exit_2(tmp_path, capsys):
+    """oracle's pair cap (C(40,3)^2 pairs) and verify's hull cap (n = 12)."""
+    from scflp import GeneratorParams, generate_instance, save_instance
+
+    big = tmp_path / "big.scflp"
+    big.write_text(save_instance(generate_instance(GeneratorParams("biesinger", m=40, n=40, p=3, r=3))))
+    assert "cap" in _refusal(["oracle", "--in", str(big)], capsys)
+    wide = tmp_path / "wide.scflp"
+    wide.write_text(save_instance(generate_instance(GeneratorParams("biesinger", m=4, n=12, p=3, r=3))))
+    _refusal(["verify", "--in", str(wide)], capsys)
+
+
+def test_verify_refuses_trials_below_one(golden_file, capsys):
+    for trials in ("0", "-3"):
+        assert "--trials" in _refusal(["verify", "--in", golden_file, "--trials", trials], capsys)

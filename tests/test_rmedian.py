@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import scflp
-from scflp import RMedianConfig, RMedianInstance, rmedian_enumerate, rmedian_solve
+from scflp import RMedianInstance, rmedian, rmedian_enumerate, rmedian_solve
 from scflp.market import indicator, response_costs
 from scflp.rmedian import CapExceededError, _combo_values, _greedy_swap, _lagrangian_bound, set_value
 
@@ -62,18 +64,19 @@ def test_solver_matches_enumeration_on_random_instances():
         assert set_value(rm, sites_b) == val_b
 
 
-def test_solver_forces_branching_path():
+def test_solver_forces_branching_path(monkeypatch):
     """Small enumeration chunks force the Lagrangian bound and branching
     logic to run; values must still match full enumeration exactly."""
     rng = np.random.default_rng(29)
-    cfg = RMedianConfig(enum_chunk=2, subgrad_iters=12)
+    monkeypatch.setattr(rmedian, "_ENUM_CHUNK", 2)
+    monkeypatch.setattr(rmedian, "_SUBGRAD_ITERS", 12)
     for _ in range(60):
         m = int(rng.integers(2, 6))
         n = int(rng.integers(4, 11))
         r = int(rng.integers(2, n))
         rm = RMedianInstance(cost=rng.uniform(0.0, 4.0, size=(m, n)), w=np.ones(m), r=r)
         _, val_e = rmedian_enumerate(rm)
-        _, val_b, status = rmedian_solve(rm, cfg)
+        _, val_b, status = rmedian_solve(rm)
         assert status == "optimal"
         assert val_b == val_e
 
@@ -176,7 +179,7 @@ def test_r5_best_response_at_n100_is_proved():
     inst = scflp.generate_instance(scflp.GeneratorParams("biesinger", m=100, n=100, p=5, r=5, seed=1))
     leader = np.argsort(-(inst.w @ inst.v), kind="stable")[:5]
     rm = response_costs(inst, indicator(inst.n, leader))
-    sites, value, status = rmedian_solve(rm, RMedianConfig(time_limit=10))
+    sites, value, status = rmedian_solve(rm, time_limit=10)
     assert status == "optimal"
     assert value == pytest.approx(221.485925, abs=1e-6)
     assert set_value(rm, sites) == value
@@ -228,3 +231,20 @@ def test_instance_rejects_bad_costs_and_weights():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="weights must be positive"):
             RMedianInstance(good, np.array([1.0, bad]), 1)
+
+
+def test_time_limit_returns_an_incumbent_of_r_sites():
+    """A limit that has already passed still yields r sites and their
+    value: a root that is one scan (C(8, 2) = 28 sets) finishes and is
+    optimal; a larger root (C(40, 3) = 9880 sets) stops at the greedy
+    incumbent."""
+    rng = np.random.default_rng(67)
+    one_scan = RMedianInstance(cost=rng.uniform(0.0, 4.0, size=(6, 8)), w=rng.uniform(0.5, 3.0, size=6), r=2)
+    greedy_size = RMedianInstance(cost=rng.uniform(0.0, 4.0, size=(30, 40)), w=rng.uniform(0.5, 3.0, size=30), r=3)
+    assert math.comb(8, 2) <= rmedian._ENUM_CHUNK < math.comb(40, 3)
+    for rm, expected in ((one_scan, "optimal"), (greedy_size, "limit")):
+        sites, value, status = rmedian_solve(rm, time_limit=0.0)
+        assert status == expected
+        assert len(sites) == rm.r and value == set_value(rm, sites)
+    assert value == _greedy_swap(greedy_size)[1]
+    assert rmedian_solve(one_scan, time_limit=0.0)[1] == rmedian_enumerate(one_scan)[1]

@@ -213,19 +213,22 @@ def test_pool_memoized_cuts_equal_fresh_cuts():
 
 
 def test_sf_separation_uses_the_point_integrality_tolerance():
-    """A point 1e-5 from integral is integral under int_tol=1e-4: SF
-    separation then runs its exact pass, as the cut loop expects."""
+    """A point 1e-7 from integral is integral under the one tolerance
+    (INT_TOL = 1e-6): SF separation runs its exact pass at the rounded
+    point.  A point 1e-5 from integral takes the fractional branch."""
     rng = np.random.default_rng(31)
     inst = random_instance(rng, m=4, n=6, p=2, r=2)
-    x = random_choice(rng, 6, 2).astype(float)
-    x[x == 0] = 1e-5
-    loose = RelaxPoint(eta=float(inst.total_demand), x=x, int_tol=1e-4)
-    assert loose.integral and not RelaxPoint(eta=loose.eta, x=x).integral
+    xint = random_choice(rng, 6, 2).astype(float)
+    near = np.where(xint == 0, 1e-7, 1.0 - 1e-7)
+    pt = RelaxPoint(eta=float(inst.total_demand), x=near)
+    assert pt.integral
     pool = FollowerPool()
-    cuts = separate_sf(loose, inst, pool)
+    cuts = separate_sf(pt, inst, pool)
     assert len(cuts) == 1 and len(pool) == 1 and pool.last_solve is not None
-    y_star, value = follower_best_response(inst, np.round(x))
+    y_star, value = follower_best_response(inst, np.round(near))
     assert tuple(next(iter(pool))) == tuple(y_star) and pool.last_solve[2] == value
-    # under the default tolerance the same point takes the fractional branch
+    far = np.where(xint == 0, 1e-5, 1.0 - 1e-5)
+    pt = RelaxPoint(eta=pt.eta, x=far)
+    assert not pt.integral
     pool = FollowerPool()
-    assert separate_sf(RelaxPoint(eta=loose.eta, x=x), inst, pool) == [] and pool.last_solve is None
+    assert separate_sf(pt, inst, pool) == [] and pool.last_solve is None

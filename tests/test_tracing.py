@@ -8,6 +8,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -36,11 +38,13 @@ def test_tracer_installs_every_binding_and_restores_them():
     assert all(_binding(name) is before[name] for name in names)
 
 
-def test_traced_hull_probe_sees_every_expected_hook(monkeypatch):
-    """Run hull_probe's operations under the tracer as the traced benchmark
-    does (one root span per operation): every hook the workload expects,
-    verify_hull's calls into improved_cut among them, must fire, and every
-    result must pass the workload's own check."""
+@pytest.mark.parametrize("name", ["hull_probe", "desk", "ladder40", "rmedian100"])
+def test_traced_workload_sees_every_expected_hook(name, monkeypatch):
+    """Build each workload and run its operations under the tracer as the
+    traced benchmark does (a set-up span, then one root span per
+    operation): every hook the workload expects, verify_hull's calls into
+    improved_cut and the set-up's generate_instance among them, must fire,
+    and every result must pass the workload's own check."""
     tracing = _load_tracing()
     path = TRACING.with_name("workloads.py")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -48,10 +52,14 @@ def test_traced_hull_probe_sees_every_expected_hook(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
     spec.loader.exec_module(workloads)
 
-    wl = workloads.hull_probe()
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        tracer.begin("setup")
+        try:
+            wl = workloads.WORKLOADS[name]()
+        finally:
+            tracer.end()
         for op_id, op in enumerate(wl.ops):
             tracer.begin("op", op=op_id)
             try:
