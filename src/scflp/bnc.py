@@ -1,12 +1,14 @@
 """LP-based branch-and-cut driver for the three reformulations.
 
-The driver loops: pop the open node with the best bound, solve its LP, run
-the formulation's separation (pool heuristic first, exact fallback), resolve
-while violated cuts arrive, and either accept a certified integral point as
-incumbent or branch on the most fractional leader variable.  Cuts are
-globally valid and shared by every node.  Incumbent values are recomputed
-with an exact best-response solve, so reported objectives do not inherit LP
-or separation tolerances.
+The driver loops: pop the open node with the best bound, set the leader
+bounds from its fixings, solve its LP, run the formulation's separation
+(pool heuristic first, exact fallback), resolve while violated cuts arrive,
+and either accept a certified integral point as incumbent or branch on the
+most fractional leader variable.  Separation certifies an integral point
+only at its exact value, up to the certification slack (see ``separation``).
+Cuts are globally valid and shared by every node.  Incumbent values are
+recomputed with an exact best-response solve, so reported objectives do not
+inherit LP or separation tolerances.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import Cut, ef_cut, improved_cut, sigma_order, submodular_cut, tight_ell
+from .cuts import Cut, sigma_order
+# unused here; perfbench/tracing.py wraps these bnc bindings and refuses missing ones
+from .cuts import ef_cut, improved_cut, submodular_cut, tight_ell  # noqa: F401
 from .instance import Instance
 from .lp import LpModel, lp_solve
 from .market import follower_best_response, indicator, response_costs
 from .separation import FollowerPool, RelaxPoint, separate_ef, separate_gsf, separate_sf
-from .tolerances import EPS_VIOL, INT_TOL, PRUNE_SLACK
+from .tolerances import EPS_VIOL, INT_TOL, at_most
 
 FORMULATIONS = ("SF", "GSF", "EF")
 SEP_ROUNDS = 50  # fractional separation rounds per tree node
@@ -142,7 +146,7 @@ def add_cut_row(model: LpModel, inst: Instance, cut: Cut) -> int:
 class _Search:
     """Shared state of one branch-and-cut run."""
 
-    def __init__(self, inst: Instance, cfg: BncConfig, events=None):
+    def __init__(self, inst: Instance, cfg: BncConfig):
         self.inst = inst
         self.cfg = cfg
         self.model = build_model(inst, cfg.formulation)
@@ -152,17 +156,12 @@ class _Search:
         self.cuts = 0
         self.sep_time = 0.0
         self.t0 = time.perf_counter()
-        self.events = events
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.t0
 
     def out_of_time(self) -> bool:
         return self.elapsed() > self.cfg.time_limit
-
-    def emit(self, payload: dict):
-        if self.events is not None:
-            self.events.write(json.dumps(payload) + "\n")
 
     def point(self, res) -> RelaxPoint:
         n = self.inst.n
@@ -175,12 +174,13 @@ class _Search:
     def separate(self, pt: RelaxPoint) -> list[Cut]:
         t = time.perf_counter()
         form = self.cfg.formulation
+        args = (pt, self.inst, self.pool, self.cfg.eps_viol)
         if form == "SF":
-            cuts = separate_sf(pt, self.inst, self.pool, self.cfg.eps_viol)
+            cuts = separate_sf(*args)
         elif form == "GSF":
-            cuts = separate_gsf(pt, self.inst, self.pool, self.cfg.eps_viol, self.sigma)
+            cuts = separate_gsf(*args, self.sigma)
         else:
-            cuts = separate_ef(pt, self.inst, self.cfg.eps_viol, self.pool)
+            cuts = separate_ef(*args)
         self.sep_time += time.perf_counter() - t
         return cuts
 
@@ -237,12 +237,8 @@ class _Search:
                     return "round_cap", obj, pt  # solve branches at the last point
 
 
-def _at_most(a: float, b: float) -> bool:
-    return a <= b + PRUNE_SLACK * (1.0 + abs(b))
-
-
 def _dominated(bound: float, lb: float, gap_tol: float) -> bool:
-    return _at_most(bound * (1.0 - gap_tol), lb)
+    return at_most(bound * (1.0 - gap_tol), lb)
 
 
 def _exact_value(inst: Instance, x) -> float:
@@ -250,17 +246,16 @@ def _exact_value(inst: Instance, x) -> float:
     return value
 
 
-def _tight_cut(search: _Search, xint: np.ndarray, y_star: np.ndarray) -> Cut:
-    """Cut whose right-hand side at the integral point xint equals the exact
-    best-response value under y_star; closes the eps_viol slack the
-    separation threshold may leave on the node objective."""
-    inst = search.inst
-    form = search.cfg.formulation
-    if form == "SF":
-        return submodular_cut(inst, y_star, [int(j) for j in np.flatnonzero(xint)])
-    if form == "GSF":
-        return improved_cut(inst, y_star, tight_ell(inst, np.asarray(xint, dtype=float), search.sigma))
-    return ef_cut(inst, y_star)
+def _emit(events, payload: dict):
+    if events is not None:
+        events.write(json.dumps(payload) + "\n")
+
+
+def _finish(report: SolveReport, events) -> SolveReport:
+    """Close the event log with the solve's "done" event; returns report."""
+    objective = None if math.isnan(report.objective) else report.objective
+    _emit(events, {"event": "done", "objective": objective, "bound": report.upper_bound, "nodes": report.nodes, "cuts": report.cuts, "status": report.status})
+    return report
 
 
 def _most_fractional(x: np.ndarray) -> int:
@@ -277,9 +272,9 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         x = indicator(inst.n, range(inst.n))
         val = _exact_value(inst, x)
         dt = time.perf_counter() - t0
-        return SolveReport(cfg.formulation, val, x, val, 0.0, 0, 0, 0.0, dt, val, 0.0, "optimal")
+        return _finish(SolveReport(cfg.formulation, val, x, val, 0.0, 0, 0, 0.0, dt, val, 0.0, "optimal"), events)
 
-    search = _Search(inst, cfg, events)
+    search = _Search(inst, cfg)
     n = inst.n
     lb, best_x = -math.inf, None
     root_bound = math.nan
@@ -300,35 +295,16 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         processed += 1
         is_root = processed == 1
 
-        saved_lower = search.model.lower[1 : 1 + n].copy()
-        saved_upper = search.model.upper[1 : 1 + n].copy()
-        incumbent_candidate = None
-        try:
-            for j in fix0:
-                search.model.upper[1 + j] = 0.0
-            for j in fix1:
-                search.model.lower[1 + j] = 1.0
-            while True:
-                outcome, obj, pt = search.cut_loop(is_root, lb)
-                if outcome != "certified":
-                    break
-                xint = np.round(pt.x).astype(np.int8)
-                y_star, val = search.best_response(xint)
-                if _at_most(obj, val):
-                    incumbent_candidate = (xint, val)
-                    break
-                # separation's violation threshold left the node objective
-                # above the exact value: force the tight cut and resolve
-                if search.install([_tight_cut(search, xint, y_star)]) == 0:
-                    incumbent_candidate = (xint, val)
-                    break
-        finally:
-            search.model.lower[1 : 1 + n] = saved_lower
-            search.model.upper[1 : 1 + n] = saved_upper
+        search.model.lower[1 : 1 + n] = 0.0
+        search.model.upper[1 : 1 + n] = 1.0
+        search.model.upper[[1 + j for j in fix0]] = 0.0
+        search.model.lower[[1 + j for j in fix1]] = 1.0
+        outcome, obj, pt = search.cut_loop(is_root, lb)
 
         if is_root:
             root_bound = obj if outcome != "infeasible" else math.nan
-        search.emit(
+        _emit(
+            events,
             {
                 "event": "node",
                 "processed": processed,
@@ -337,7 +313,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
                 "incumbent": None if lb == -math.inf else lb,
                 "open": len(heap),
                 "cuts": search.cuts,
-            }
+            },
         )
 
         if outcome in ("infeasible", "dominated"):
@@ -347,7 +323,8 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             status = "limit"
             break
         if outcome == "certified":
-            xint, val = incumbent_candidate
+            xint = np.round(pt.x).astype(np.int8)
+            _, val = search.best_response(xint)
             if val > lb:
                 lb, best_x = val, xint
             continue
@@ -383,8 +360,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         rg,
         status,
     )
-    search.emit({"event": "done", "objective": None if math.isnan(objective) else objective, "bound": ub, "nodes": report.nodes, "cuts": report.cuts, "status": status})
-    return report
+    return _finish(report, events)
 
 
 def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float):

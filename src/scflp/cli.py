@@ -27,10 +27,15 @@ USAGE_ERROR = 2
 LIMIT_EXIT = 1
 
 
+def _usage_error(message: str) -> int:
+    """One error line on stderr; returns exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _refuse(message: str) -> NoReturn:
     """One error line on stderr, then exit code 2."""
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(USAGE_ERROR)
+    raise SystemExit(_usage_error(message))
 
 
 def _read_instance(path: str):
@@ -166,11 +171,9 @@ def _cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = set(checks) - {"hull", "prop61", "aggregation"}
     if unknown or not checks:
-        print(f"error: bad check list {args.checks!r}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"bad check list {args.checks!r}")
     if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     lines = []
     ok = True
@@ -213,6 +216,11 @@ def _bench_task(payload):
 
 def _cmd_bench(args) -> int:
     forms = [f.strip() for f in args.form.split(",") if f.strip()]
+    for flag, values in (("--form", forms), ("--p", args.p), ("--r", args.r)):
+        if not values:
+            _refuse(f"{flag} needs at least one value")
+    if args.workers < 1:
+        _refuse(f"--workers must be at least 1, got {args.workers}")
     configs = [_config(form, args) for form in forms]
 
     tasks = []

@@ -2,9 +2,13 @@
 
 Each oracle takes the current relaxation point, tries cheap heuristics
 against a pool of previously optimal follower responses, and falls back to
-an exact r-median solve.  An empty return from an exact pass certifies that
-no inequality of the family is violated at the point; for the classic cuts
-that certificate is only available at integral points.
+an exact r-median solve (for the classic cuts, only at integral points).
+Pool scans and exact passes at fractional points keep cuts violated by more
+than ``eps``, so an empty exact return certifies that no inequality of the
+family is violated by more than that.  At an integral point
+(``RelaxPoint.integral``) the exact pass keeps its cut unless eta is at most
+its value there up to the certification slack (``tolerances.at_most``): an
+empty return certifies the point at its exact best-response value.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .cuts import Cut, ef_cut, ef_separation_costs, gsf_separation_costs, improv
 from .instance import Instance
 from .market import compute_cy, indicator, response_costs
 from .rmedian import RMedianInstance, rmedian_solve
-from .tolerances import EPS_VIOL, INT_TOL
+from .tolerances import EPS_VIOL, INT_TOL, at_most
 
 
 class FollowerPool:
@@ -83,6 +87,13 @@ def _violated(cut: Cut, pt: RelaxPoint, eps: float) -> bool:
     return pt.eta > cut.rhs_at(pt.x, pt.z) + eps
 
 
+def _exact_verdict(cut: Cut, pt: RelaxPoint, eps: float) -> list[Cut]:
+    """[cut] if the exact pass's cut is violated at pt (see the module docstring), else []."""
+    if pt.integral:
+        return [] if at_most(pt.eta, cut.rhs_at(pt.x, pt.z)) else [cut]
+    return [cut] if _violated(cut, pt, eps) else []
+
+
 def is_integral(x) -> bool:
     x = np.asarray(x)
     return bool((np.abs(x - x.round()) <= INT_TOL).all())
@@ -126,8 +137,7 @@ def separate_sf(
     sites, _ = _exact(response_costs(inst, pt.x), pool)
     y_star = indicator(inst.n, sites)
     pool.add(y_star)
-    cut = submodular_cut(inst, y_star, support)
-    return [cut] if _violated(cut, pt, eps) else []
+    return _exact_verdict(submodular_cut(inst, y_star, support), pt, eps)
 
 
 def separate_gsf(
@@ -158,21 +168,18 @@ def separate_gsf(
     sites, _ = _exact(gsf_separation_costs(inst, pt.x, sigma), pool)
     y_star = indicator(inst.n, sites)
     pool.add(y_star)
-    cut = improved_cut(inst, y_star, ell)
-    return [cut] if _violated(cut, pt, eps) else []
+    return _exact_verdict(improved_cut(inst, y_star, ell), pt, eps)
 
 
 def separate_ef(
     pt: RelaxPoint,
     inst: Instance,
-    eps: float = EPS_VIOL,
     pool: FollowerPool | None = None,
+    eps: float = EPS_VIOL,
 ) -> list[Cut]:
     """Assignment-cut separation; always exact, no heuristic path.  A given
     pool only records the exact solve (``FollowerPool.last_solve``)."""
     if pt.z is None:
         raise ValueError("assignment separation needs allocations")
-    sites, value = _exact(ef_separation_costs(inst, pt.z), pool)
-    if value < pt.eta - eps:
-        return [ef_cut(inst, indicator(inst.n, sites))]
-    return []
+    sites, _ = _exact(ef_separation_costs(inst, pt.z), pool)
+    return _exact_verdict(ef_cut(inst, indicator(inst.n, sites)), pt, eps)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnc import add_cut_row, add_eta_row, add_linking_rows
-from .cuts import ef_cut, gsf_separation_costs, improved_cut, sigma_order, tight_ell
+from .cuts import _prefix_lengths, ef_cut, gsf_separation_costs, improved_cut, sigma_order, tight_ell
 from .instance import Instance
 from .lp import LpModel, lp_solve
 from .market import compute_cy, indicator, open_sites, share_of_set
@@ -153,21 +153,20 @@ def verify_prop61(inst: Instance, xstar, y) -> float:
 
 
 def greedy_assignment(inst: Instance, x, sigma: np.ndarray | None = None) -> np.ndarray:
-    """Prefix-greedy allocation for leader vector x: walk sites in
-    descending attractiveness, keep their x mass while below one, park the
-    remaining mass on the next site.  Optimal for every follower choice at
-    once, and integral whenever x is integral."""
+    """Prefix-greedy allocation for leader vector x, as the GSF separation
+    prices it: each customer's unit prefix of sites (``cuts._prefix_lengths``)
+    keeps its x mass, and the next site takes what is left of one, up to its
+    own mass.  Optimal for every follower choice at once, integral for integral x."""
     sigma = sigma_order(inst) if sigma is None else sigma
-    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    z = np.zeros((inst.m, inst.n))
-    for i in range(inst.m):
-        mass = 0.0
-        for j in sigma[i]:
-            if mass >= 1.0 - 1e-12:
-                break
-            take = min(float(xs[j]), 1.0 - mass)
-            z[i, j] = take
-            mass += take
+    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)[sigma]  # masses in descending-v order
+    lengths = _prefix_lengths(xs)
+    zs = np.where(np.arange(inst.n) < lengths[:, None], xs, 0.0)
+    rows = (lengths < inst.n).nonzero()[0]
+    nxt = lengths[rows]
+    rest = 1.0 - xs.cumsum(axis=1)[rows, nxt - 1]  # in-order sums, as a walk would take them
+    zs[rows, nxt] = np.minimum(xs[rows, nxt], rest)
+    z = np.empty_like(zs)
+    np.put_along_axis(z, sigma, zs, axis=1)
     return z
 
 

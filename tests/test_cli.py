@@ -219,6 +219,16 @@ def test_instances_beyond_an_enumeration_cap_exit_2(tmp_path, capsys):
     _refusal(["verify", "--in", str(wide)], capsys)
 
 
+def test_bench_refuses_empty_lists_and_workers_below_one(tmp_path, capsys):
+    """An empty --form, --p or --r list and --workers below 1 are refused
+    with one error line before the CSV or any profile file is written."""
+    out = tmp_path / "bench.csv"
+    for flags in (["--form", ","], ["--p", ","], ["--r", ""], ["--workers", "0"], ["--workers", "-3"]):
+        err = _refusal(["bench", "--m", "4", "--n", "4", "--p", "2", "--r", "2"] + flags + ["--out", str(out)], capsys)
+        assert flags[0] in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_refuses_trials_below_one(golden_file, capsys):
     for trials in ("0", "-3"):
         assert "--trials" in _refusal(["verify", "--in", golden_file, "--trials", trials], capsys)

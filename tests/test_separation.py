@@ -143,6 +143,26 @@ def test_exactness_at_integral_points_all_families():
         assert truth == pytest.approx(val, rel=1e-12)
 
 
+@pytest.mark.parametrize("form", ["SF", "GSF", "EF"])
+def test_integral_point_cut_threshold_is_the_certification_slack(form):
+    """At an integral point the exact pass cuts when eta exceeds the exact
+    value by 1e-7 -- above the certification slack, below EPS_VIOL -- with
+    a cut whose value at the point is the exact value; at eta equal to the
+    exact value it returns nothing, certifying the point."""
+    separate = {"SF": separate_sf, "GSF": separate_gsf, "EF": separate_ef}[form]
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        inst = random_instance(rng, m=4, n=6, p=2, r=2)
+        x = random_choice(rng, 6, 2)
+        xf = np.asarray(x, dtype=float)
+        z = greedy_assignment(inst, xf) if form == "EF" else None
+        _, val = follower_best_response(inst, x)
+        cuts = separate(RelaxPoint(eta=val + 1e-7, x=xf, z=z), inst, FollowerPool())
+        assert len(cuts) == 1
+        assert cuts[0].rhs_at(xf, z) == pytest.approx(val, rel=1e-12)
+        assert separate(RelaxPoint(eta=val, x=xf, z=z), inst, FollowerPool()) == []
+
+
 def test_pool_grows_one_member_per_exact_call():
     rng = np.random.default_rng(17)
     inst = random_instance(rng, m=3, n=6, p=2, r=2)
