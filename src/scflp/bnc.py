@@ -188,11 +188,12 @@ class _Search:
         """Exact follower best response to the integral leader choice xint:
         (y, value).  The last exact separation solve is reused when its
         r-median costs are bit-identical to the best response's (same
-        instance, so the same weights and r): the solver is deterministic."""
+        instance, so the same weights and r): the solver is deterministic.
+        A fresh solve starts from the pool's members."""
         last = self.pool.last_solve
         if last is not None and np.array_equal(last[0].cost, response_costs(self.inst, xint).cost):
             return indicator(self.inst.n, last[1]), last[2]
-        return follower_best_response(self.inst, xint, mode="rmedian")
+        return follower_best_response(self.inst, xint, mode="rmedian", start=self.pool.sites())
 
     def install(self, cuts: list[Cut]) -> int:
         fresh = 0

@@ -23,7 +23,12 @@ and runs from the previous basis -- every solve after the first is warm,
 with no argument to ask for it.  A solve never reports "optimal" unless its
 primal residuals are at most 1e-7; the row activities are recomputed from
 the model's own arrays (``np.bincount`` over the row ids), independent of
-HiGHS's copy, and numerical trouble surfaces as status "iteration_limit".
+HiGHS's copy.  A point HiGHS calls optimal that fails this gate is
+recomputed once from a fresh factorization of the same basis
+(``setBasis(getBasis())``, then ``run``): the updated factorization can
+drift along a long chain of warm starts, and the refactor takes no
+iterations.  If the point still fails, the solve reports status
+"iteration_limit".
 
 HiGHS is driven through scipy's private ``scipy.optimize._highspy._core._Highs``
 class because the public ``linprog`` builds a fresh model on every call and
@@ -350,11 +355,24 @@ def lp_solve(model: LpModel) -> LpResult:
         status = {_MS.kOptimal: "unbounded", _MS.kInfeasible: "infeasible"}.get(highs.getModelStatus(), status)
     if status != "optimal":
         return LpResult(status, float("nan"), None, float("inf"), message)
+    x, viol = _primal(model, highs)
+    if not viol <= FEAS_TOL:  # a nan residual fails too
+        # the updated factorization can drift on long warm-start chains;
+        # refactoring from the same basis recomputes the point from scratch
+        highs.setBasis(highs.getBasis())
+        highs.run()
+        if highs.getModelStatus() == _MS.kOptimal:
+            x, viol = _primal(model, highs)
+        if not viol <= FEAS_TOL:
+            return LpResult("iteration_limit", float("nan"), None, viol, "residuals above tolerance")
+    return LpResult("optimal", float(model.objective @ x), x, viol, message)
+
+
+def _primal(model: LpModel, highs) -> tuple[np.ndarray, float]:
+    """HiGHS's primal point and its largest bound or row violation,
+    recomputed from the model's own arrays."""
     x = np.asarray(highs.getSolution().col_value, dtype=float)
     ax = model._row_activity(x)
     n = model.nrows
     gaps = np.concatenate((model.lower - x, x - model.upper, model._row_lo[:n] - ax, ax - model._row_hi[:n]))
-    viol = float(gaps.max(initial=0.0))
-    if not viol <= FEAS_TOL:  # a nan residual fails too
-        return LpResult("iteration_limit", float("nan"), None, viol, "residuals above tolerance")
-    return LpResult("optimal", float(model.objective @ x), x, viol, message)
+    return x, float(gaps.max(initial=0.0))

@@ -86,19 +86,20 @@ def response_costs(inst: Instance, x) -> RMedianInstance:
     return RMedianInstance(cost=a, w=inst.w, r=inst.r)
 
 
-def follower_best_response(inst: Instance, x, mode: str = "rmedian", enum_cap: int = 2_000_000):
+def follower_best_response(inst: Instance, x, mode: str = "rmedian", enum_cap: int = 2_000_000, start=()):
     """Minimize the leader share over follower choices; returns (y, value).
 
     ``rmedian`` solves the cost reduction exactly with the branch-and-bound
-    solver; ``enumerate`` scans all C(n, r) choices and breaks ties by the
-    lexicographically smallest open-site set.  Both modes return the same
-    value.
+    solver, started from the candidate site sets ``start`` (see
+    ``rmedian_solve``); ``enumerate`` scans all C(n, r) choices and breaks
+    ties by the lexicographically smallest open-site set.  Both modes
+    return the same value.
     """
     rm = response_costs(inst, x)
     if mode == "enumerate":
         sites, value = rmedian_enumerate(rm, cap=enum_cap)
     elif mode == "rmedian":
-        sites, value, status = rmedian_solve(rm)
+        sites, value, status = rmedian_solve(rm, start=start)
         if status != "optimal":
             raise RuntimeError(f"best-response solve hit a limit (status={status})")
     else:

@@ -18,11 +18,26 @@ free columns in closed form, which is where the cardinality constraint
 enters.  The ascent takes Polyak steps toward the incumbent value, halves
 its step factor after a run of non-improving iterations, stops as soon as
 the node prunes, and starts each child from its parent's best multipliers.
-Costs are nonnegative, so an incumbent of exactly zero can only be tied:
-nodes whose lexicographically smallest completion sorts after it are pruned
-(the zero floor).  Incumbents come from greedy construction plus
-first-improvement swaps, scored in batches by the same evaluator; nodes with
-at most ``_ENUM_CHUNK`` completions are scanned outright.
+
+After each node's bound, Lagrangian reduced-cost fixing (Beasley 1993,
+"Lagrangean heuristics for location problems", EJOR 65) drops every free
+column k whose forced-in bound ``lag - s_(q) + s_k`` is strictly above
+``ub + _tol(ub)``: ``lag`` is the bound at the node's best multipliers,
+``s_k`` column k's reduced cost and ``s_(q)`` the q-th smallest free one.
+No set within the tolerance of the incumbent is dropped, so ties survive,
+and the q cheapest columns are never dropped.  Dropped columns stay out in
+the node's whole subtree.  A node with at most ``_ENUM_CHUNK`` completions
+left, at once or after fixing, is scanned outright over its free columns in
+ascending order.
+
+Incumbents come from greedy construction plus first-improvement swaps,
+scored in batches by the same evaluator, and from the caller's candidate
+site sets (``start``), scored in one evaluator call; the lowest value wins,
+ties going to the lexicographically smaller set.  Costs are nonnegative,
+so an incumbent of exactly zero can only be tied: nodes whose
+lexicographically smallest completion sorts at or after a zero incumbent
+are pruned (the zero floor).  An incumbent ``tuple(range(r))`` at 0.0
+thus prunes the root with no bound and no scan.
 """
 
 from __future__ import annotations
@@ -214,20 +229,38 @@ def _lagrangian_bound(
     return best
 
 
-def rmedian_solve(rm: RMedianInstance, time_limit: float | None = None):
+def _start_incumbent(rm: RMedianInstance, start) -> tuple[tuple, float]:
+    """Greedy+swap incumbent, replaced by the best candidate site set of
+    ``start`` when that is lower or ties and sorts first."""
+    incumbent, ub = _greedy_swap(rm)
+    cands = [tuple(sorted(int(k) for k in c)) for c in start]
+    if not cands:
+        return incumbent, ub
+    if any(len(set(c)) != rm.r or len(c) != rm.r or c[0] < 0 or c[-1] >= rm.n for c in cands):
+        raise ValueError(f"every start set must hold {rm.r} distinct sites of 0..{rm.n - 1}")
+    val, sites = min(zip(_combo_values(rm, np.array(cands, dtype=np.intp)).tolist(), cands))
+    if val < ub or (val == ub and sites < incumbent):
+        return sites, val
+    return incumbent, ub
+
+
+def rmedian_solve(rm: RMedianInstance, time_limit: float | None = None, start=()):
     """Exact branch-and-bound; returns (sites, value, status).
 
-    status is "optimal" unless ``time_limit`` (seconds) interrupts the
-    search, in which case the best incumbent found is returned with status
-    "limit".  The limit is honoured only once an incumbent exists: a root
-    that is one scan runs it (at most ``_ENUM_CHUNK`` evaluations), a
-    larger root starts from the greedy incumbent.
+    ``start`` holds candidate site sets (each r distinct sites, in any
+    order) for the starting incumbent; it is read only when the root is
+    not one scan.  status is "optimal" unless ``time_limit`` (seconds)
+    interrupts the search, in which case the best incumbent found is
+    returned with status "limit".  The limit is honoured only once an
+    incumbent exists: a root that is one scan runs it (at most
+    ``_ENUM_CHUNK`` evaluations), a larger root starts from the greedy or
+    a start incumbent.
     """
     n, r = rm.n, rm.r
     t0 = time.perf_counter()
 
     # a search that is one scan at the root needs no starting incumbent
-    incumbent, ub = _greedy_swap(rm) if math.comb(n, r) > _ENUM_CHUNK else ((), math.inf)
+    incumbent, ub = _start_incumbent(rm, start) if math.comb(n, r) > _ENUM_CHUNK else ((), math.inf)
     t = None  # weighted costs, built for the first node that needs a Lagrangian bound
 
     # heap of (bound, tiebreak, forced_in tuple, forced_out frozenset,
@@ -237,37 +270,47 @@ def rmedian_solve(rm: RMedianInstance, time_limit: float | None = None):
     status = "optimal"
     while heap:
         bound, _, fin, fout, u = heapq.heappop(heap)
-        if bound >= ub + _tol(ub):
+        target = ub + _tol(ub)
+        if bound >= target:
             continue
         free = [k for k in range(n) if k not in fin and k not in fout]
         q = r - len(fin)
-        if ub == 0.0 and tuple(sorted(fin + tuple(free[:q]))) > incumbent:
-            continue  # zero floor: every completion ties at best and none sorts first
+        if ub == 0.0 and tuple(sorted(fin + tuple(free[:q]))) >= incumbent:
+            continue  # zero floor: no completion is lower and none sorts before the incumbent
         if incumbent and time_limit is not None and time.perf_counter() - t0 > time_limit:
             status = "limit"
             break
+        if math.comb(len(free), q) > _ENUM_CHUNK:
+            if t is None:
+                t = rm.w[:, None] * rm.cost
+            sub_t = t[:, list(fin) + free]
+            u = sub_t.min(axis=1) if u is None else u.copy()
+            lag = _lagrangian_bound(sub_t, len(fin), q, ub, _SUBGRAD_ITERS, u)
+            bound = max(lag, bound)
+            if bound >= target:
+                continue
+            # reduced-cost fixing at the best multipliers; s - s_(q) is
+            # exactly <= 0 for the q cheapest columns, so lag + (s - s_(q))
+            # stays below the target for them and at least q columns remain
+            s = np.minimum(sub_t[:, len(fin) :] - u[:, None], 0.0).sum(axis=0)
+            drop = lag + (s - np.partition(s, q - 1)[q - 1]) > target
+            if drop.any():
+                fout = fout | {k for k, d in zip(free, drop.tolist()) if d}
+                free = [k for k, d in zip(free, drop.tolist()) if not d]
         if math.comb(len(free), q) <= _ENUM_CHUNK:
             base = rm.cost[:, list(fin)].min(axis=1) if fin else None
             val, sites = _scan(rm, fin, free, q, base)
             if val < ub or (val == ub and sites < incumbent):
                 incumbent, ub = sites, val
             continue
-        if t is None:
-            t = rm.w[:, None] * rm.cost
-        allowed = list(fin) + free
-        sub_t = t[:, allowed]
-        u = sub_t.min(axis=1) if u is None else u.copy()
-        node_bound = _lagrangian_bound(sub_t, len(fin), q, ub, _SUBGRAD_ITERS, u)
-        node_bound = max(node_bound, bound)
-        if node_bound >= ub + _tol(ub):
-            continue
         # branch on the free site with the largest weighted usage among
         # the row minima of the allowed columns
+        allowed = list(fin) + free
         argmin = np.asarray(allowed)[np.argmin(rm.cost[:, allowed], axis=1)]
         usage = np.zeros(n)
         np.add.at(usage, argmin, rm.w)
         k_star = max(free, key=lambda k: (usage[k], -k))
-        heapq.heappush(heap, (node_bound, next(counter), tuple(fin) + (k_star,), fout, u))
-        heapq.heappush(heap, (node_bound, next(counter), fin, fout | {k_star}, u))
+        heapq.heappush(heap, (bound, next(counter), tuple(fin) + (k_star,), fout, u))
+        heapq.heappush(heap, (bound, next(counter), fin, fout | {k_star}, u))
 
     return np.array(incumbent, dtype=int), ub, status

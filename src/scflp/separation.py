@@ -19,7 +19,7 @@ import numpy as np
 
 from .cuts import Cut, ef_cut, ef_separation_costs, gsf_separation_costs, improved_cut, sigma_order, submodular_cut, tight_ell
 from .instance import Instance
-from .market import compute_cy, indicator, response_costs
+from .market import compute_cy, indicator, open_sites, response_costs
 from .rmedian import RMedianInstance, rmedian_solve
 from .tolerances import EPS_VIOL, INT_TOL, at_most
 
@@ -56,6 +56,10 @@ class FollowerPool:
 
     def __iter__(self):
         return iter(reversed(self._members))
+
+    def sites(self):
+        """Open sites of each member, newest first, computed as consumed."""
+        return (open_sites(y) for y in self)
 
     def scan(self, inst: Instance):
         """(y, compute_cy(inst, y)) per member, newest first."""
@@ -100,8 +104,9 @@ def is_integral(x) -> bool:
 
 
 def _exact(rm: RMedianInstance, pool: FollowerPool | None):
-    """Exact r-median solve of a separation problem, recorded on the pool."""
-    sites, value, status = rmedian_solve(rm)
+    """Exact r-median solve of a separation problem, started from the pool's
+    members and recorded on the pool."""
+    sites, value, status = rmedian_solve(rm, start=pool.sites() if pool is not None else ())
     if status != "optimal":
         raise RuntimeError("exact separation hit the r-median limit")
     if pool is not None:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scflp import BncConfig, bnc, brute_force_solve, follower_best_response, root_relaxation, solve
+from scflp import BncConfig, GeneratorParams, bnc, brute_force_solve, follower_best_response, generate_instance, root_relaxation, solve
 from scflp.bnc import _Search, add_cut_row, build_model
 from scflp.cuts import ef_cut
 from scflp.lp import LpModel, lp_solve
@@ -155,6 +155,34 @@ def test_loose_violation_threshold_still_yields_exact_optima(form):
         rep = solve(inst, BncConfig(formulation=form, eps_viol=0.05))
         assert rep.status == "optimal"
         assert rep.objective == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("form, seed, index", [("SF", 33, 4), ("GSF", 108, 5), ("EF", 33, 4)])
+def test_loose_threshold_cannot_certify_above_the_exact_value(form, seed, index):
+    """On these instances an exact pass that cut an integral point only
+    when eta exceeded its value by more than eps_viol = 0.5 would certify a
+    node above its exact value and lose the optimum in that node's
+    subtree; certification on the integral-point slack finds it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        inst = random_instance(rng, m=4, n=6, p=2, r=2)
+    want = brute_force_solve(inst).value
+    rep = solve(inst, BncConfig(formulation=form, eps_viol=0.5))
+    assert rep.status == "optimal"
+    assert rep.objective == pytest.approx(want, abs=1e-9)
+    assert follower_best_response(inst, rep.best_x, mode="enumerate")[1] == pytest.approx(want, abs=1e-9)
+
+
+def test_residual_drift_on_a_warm_chain_is_refactored():
+    """qi m=n=60, p=10, r=3, seed 2: one GSF cut-loop LP comes back from a
+    long warm-start chain with a row residual of about 1.6e-7, above the
+    1e-7 gate; a refactor from the same basis clears it and the solve
+    proves the optimum EF proves."""
+    inst = generate_instance(GeneratorParams("qi", m=60, n=60, p=10, r=3, seed=2))
+    gsf = solve(inst, BncConfig(formulation="GSF"))
+    ef = solve(inst, BncConfig(formulation="EF"))
+    assert gsf.status == ef.status == "optimal"
+    assert gsf.objective == pytest.approx(ef.objective, abs=1e-9)
 
 
 def test_gap_tolerance_terminates_early():

@@ -408,3 +408,43 @@ def test_add_cut_row_matches_dict_reference(golden):
         assert list(row.coef) == list(expected)
         assert list(row.coef.values()) == list(expected.values())
         assert (row.sense, row.rhs, row.tag) == ("<=", cut.constant, f"cut{k}")
+
+
+def test_bound_fix_and_restore_solves_like_a_fresh_model():
+    """A bound fixed and restored, a bound changed and restored between
+    solves, and a new objective each solve like a fresh model."""
+    rng = np.random.default_rng(101)
+    model = LpModel(rng.normal(size=5), np.zeros(5), np.ones(5))
+    model.add_row(dict(enumerate(rng.uniform(0.5, 1.0, size=5))), "<=", 2.0)
+
+    def solve_like_linprog():
+        res = lp_solve(model)
+        assert (res.status, res.objective) == pytest.approx(_linprog_reference(model), abs=1e-9)
+
+    solve_like_linprog()
+    model.upper[2] = 0.0  # a branch fixes a column ...
+    solve_like_linprog()
+    model.upper[2] = 1.0  # ... and its sibling restores it
+    solve_like_linprog()
+    model.lower[1] = 1.0
+    model.lower[1] = 0.0
+    model.add_row({0: 1.0, 3: 1.0}, ">=", 0.5)
+    solve_like_linprog()
+    model.objective = rng.normal(size=5)
+    solve_like_linprog()
+
+
+def test_normal_solve_after_an_unbounded_or_infeasible_verdict():
+    """The zero-cost settling solve leaves HiGHS with other costs than the
+    model's; the next solve must run on the model's costs although the
+    model's objective did not change."""
+    model = LpModel([1.0, 2.0, 0.0], [-np.inf, -np.inf, 0.0], [np.inf, np.inf, 1.0])
+    model.add_row({0: 1.0, 1: -1.0}, "<=", -1.0)
+    assert lp_solve(model).status == "unbounded"
+    model._highs.setOptionValue("allow_unbounded_or_infeasible", True)
+    model.add_row({2: 1.0}, ">=", 2.0)  # x2 <= 1: infeasible, and x0, x1 unbounded
+    assert lp_solve(model).status == "infeasible"
+    model.lower[:] = (-3.0, -3.0, 0.0)
+    model.upper[:] = (3.0, 5.0, 4.0)
+    res = lp_solve(model)
+    assert (res.status, res.objective) == pytest.approx(_linprog_reference(model), abs=1e-9)

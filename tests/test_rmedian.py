@@ -248,3 +248,130 @@ def test_time_limit_returns_an_incumbent_of_r_sites():
         assert len(sites) == rm.r and value == set_value(rm, sites)
     assert value == _greedy_swap(greedy_size)[1]
     assert rmedian_solve(one_scan, time_limit=0.0)[1] == rmedian_enumerate(one_scan)[1]
+
+
+@pytest.mark.parametrize("chunk", [2, 16, 4096])
+def test_fixing_and_start_sets_match_enumeration(monkeypatch, chunk):
+    """Reduced-cost fixing and start candidates leave the solver bit-equal
+    to enumeration, sites included, on instances full of ties: integer
+    costs, duplicated columns, zero columns and random start sets."""
+    rng = np.random.default_rng(71 + chunk)
+    monkeypatch.setattr(rmedian, "_ENUM_CHUNK", chunk)
+    for k in range(100):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(2, 13))
+        r = int(rng.integers(1, n + 1))
+        cost = rng.uniform(0.0, 4.0, size=(m, n))
+        if k % 3 == 0:
+            cost = np.round(cost)
+        if k % 5 == 0:
+            cost[:, rng.integers(0, n, size=n // 2)] = cost[:, rng.integers(0, n, size=n // 2)]
+        if k % 11 == 0:
+            cost[:, rng.integers(0, n)] = 0.0
+        w = rng.integers(1, 5, size=m).astype(float) if k % 2 else rng.uniform(0.5, 3.0, size=m)
+        rm = RMedianInstance(cost=cost, w=w, r=r)
+        start = [rng.choice(n, size=r, replace=False) for _ in range(int(rng.integers(0, 4)))]
+        sites_e, val_e = rmedian_enumerate(rm)
+        sites_b, val_b, status = rmedian_solve(rm, start=start)
+        assert status == "optimal"
+        assert (sites_b.tolist(), val_b) == (sites_e.tolist(), val_e), f"instance {k}"
+
+
+def test_identical_columns_keep_every_tied_column(monkeypatch):
+    """Every set ties when all columns are equal, and the root Lagrangian
+    bound meets the incumbent exactly: fixing must drop nothing, and the
+    first r sites win."""
+    monkeypatch.setattr(rmedian, "_ENUM_CHUNK", 2)
+    col = np.array([1.0, 2.0, 0.5, 3.0])
+    rm = RMedianInstance(cost=np.tile(col[:, None], (1, 8)), w=np.array([1.0, 2.0, 1.0, 1.0]), r=3)
+    sites, value, status = rmedian_solve(rm, start=[(5, 6, 7)])
+    assert status == "optimal"
+    assert sites.tolist() == [0, 1, 2]
+    assert value == set_value(rm, (0, 1, 2))
+
+
+def _greedy_tie_instance():
+    """Greedy+swap stops at (0, 2) with value 0.9; (0, 1) and (2, 3) tie
+    with it, one sorting before and one after.  Column 3 copies column 0."""
+    cost = np.array([[0.0, 2.0, 0.9, 0.0], [2.0, 0.9, 0.9, 2.0]])
+    return RMedianInstance(cost=cost, w=np.ones(2), r=2)
+
+
+def test_start_candidate_ties_go_to_the_smaller_set():
+    rm = _greedy_tie_instance()
+    assert _greedy_swap(rm) == ((0, 2), 0.9)
+    assert rmedian._start_incumbent(rm, []) == ((0, 2), 0.9)
+    assert rmedian._start_incumbent(rm, [(3, 2)]) == ((0, 2), 0.9)  # sorts after: greedy stays
+    assert rmedian._start_incumbent(rm, [(1, 0)]) == ((0, 1), 0.9)  # sorts before: replaces
+    assert rmedian._start_incumbent(rm, [(3, 2), (1, 0), (1, 2)]) == ((0, 1), 0.9)
+    with pytest.raises(ValueError, match="distinct sites"):
+        rmedian._start_incumbent(rm, [(1, 1)])
+    with pytest.raises(ValueError, match="distinct sites"):
+        rmedian._start_incumbent(rm, [(0, 4)])
+
+
+def test_lower_start_candidate_replaces_greedy():
+    """A start set below greedy's value becomes the incumbent."""
+    rng = np.random.default_rng(79)
+    replaced = 0
+    for _ in range(40):
+        rm = RMedianInstance(cost=rng.uniform(0.0, 4.0, size=(12, 14)), w=rng.uniform(0.5, 3.0, size=12), r=3)
+        sites_e, val_e = rmedian_enumerate(rm)
+        greedy = _greedy_swap(rm)
+        want = (tuple(sites_e.tolist()), val_e) if val_e < greedy[1] else greedy
+        assert rmedian._start_incumbent(rm, [sites_e[::-1]]) == want
+        replaced += want != greedy
+    assert replaced > 0
+
+
+@pytest.mark.parametrize("chunk", [2, 4096])
+def test_greedy_ties_solve_to_the_smallest_set(monkeypatch, chunk):
+    monkeypatch.setattr(rmedian, "_ENUM_CHUNK", chunk)
+    rm = _greedy_tie_instance()
+    for start in ([], [(3, 2)], [(1, 0)]):
+        sites, value, status = rmedian_solve(rm, start=start)
+        assert (sites.tolist(), value, status) == ([0, 1], 0.9, "optimal")
+
+
+def test_zero_incumbent_at_the_first_sites_prunes_the_root(monkeypatch):
+    """An incumbent (0, ..., r-1) at value 0 cannot be beaten or out-sorted:
+    the zero floor prunes the root, so no bound is computed and no node is
+    scanned."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the zero floor should have pruned the root")
+
+    monkeypatch.setattr(rmedian, "_lagrangian_bound", refuse)
+    monkeypatch.setattr(rmedian, "_scan", refuse)
+    rm = RMedianInstance(cost=np.zeros((20, 100)), w=np.ones(20), r=3)
+    sites, value, status = rmedian_solve(rm)
+    assert (sites.tolist(), value, status) == ([0, 1, 2], 0.0, "optimal")
+
+
+def test_positive_incumbent_at_the_first_sites_prunes_nothing(monkeypatch):
+    """The zero floor holds only at value 0: a worse incumbent (0, 1) sorts
+    before every other set, yet the optimum (2, 3) must still be found."""
+    rng = np.random.default_rng(7)
+    cost = rng.uniform(1.0, 2.0, size=(4, 100))
+    cost[:2, 2] = 0.5
+    cost[2:, 3] = 0.5
+    rm = RMedianInstance(cost=cost, w=np.ones(4), r=2)
+    first = float(_combo_values(rm, np.array([[0, 1]]))[0])
+    monkeypatch.setattr(rmedian, "_greedy_swap", lambda rm: ((0, 1), first))
+    sites, value, status = rmedian_solve(rm)
+    assert (sites.tolist(), value, status) == ([2, 3], 2.0, "optimal")
+    assert value == rmedian_enumerate(rm)[1]
+
+
+def test_zero_optimum_elsewhere_goes_to_the_smallest_zero_set():
+    """Greedy reaches a zero set, (1, 2), that is not the first r sites;
+    the lexicographically smallest zero set, (0, 2), must still win."""
+    cost = np.ones((3, 100))
+    cost[0, [0, 1]] = 0.0
+    cost[1, [2, 3]] = 0.0
+    cost[2, [1, 2]] = 0.0
+    rm = RMedianInstance(cost=cost, w=np.array([1.0, 1.0, 10.0]), r=2)
+    assert _greedy_swap(rm) == ((1, 2), 0.0)
+    for start in ([], [(3, 1)], [(2, 1)]):
+        sites, value, status = rmedian_solve(rm, start=start)
+        assert (sites.tolist(), value, status) == ([0, 2], 0.0, "optimal")
