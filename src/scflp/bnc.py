@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import Cut, sigma_order
+from .cuts import Cut
 # unused here; perfbench/tracing.py wraps these bnc bindings and refuses missing ones
 from .cuts import ef_cut, improved_cut, submodular_cut, tight_ell  # noqa: F401
 from .instance import Instance
@@ -59,8 +59,8 @@ class SolveReport:
     formulation: str
     objective: float  # best incumbent value (exact best-response evaluation)
     best_x: np.ndarray | None
-    upper_bound: float
-    gap_pct: float
+    upper_bound: float  # max of the incumbent, open nodes' bounds and bounds dropped by gap_tol
+    gap_pct: float  # (upper_bound - objective) / upper_bound * 100
     nodes: int  # explored nodes beyond the root
     cuts: int
     sep_time_s: float
@@ -93,11 +93,8 @@ def build_model(inst: Instance, formulation: str) -> LpModel:
     lower[0] = -np.inf
     upper = np.ones(ncols)
     upper[0] = inst.total_demand  # valid cap: every capture ratio is below 1
-    names = ["eta"] + [f"x{j}" for j in range(n)]
-    if formulation == "EF":
-        names += [f"z{i}_{j}" for i in range(m) for j in range(n)]
-    model = LpModel(obj, lower, upper, names)
-    model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p), "card")
+    model = LpModel(obj, lower, upper)
+    model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p))
     if formulation == "EF":
         add_linking_rows(model, m, n, zcol(inst, 0, 0))
     return model
@@ -107,24 +104,17 @@ def zcol(inst: Instance, i: int, j: int) -> int:
     return 1 + inst.n + i * inst.n + j
 
 
-def add_linking_rows(model: LpModel, m: int, n: int, first_z: int, tag_suffix: str = "") -> None:
+def add_linking_rows(model: LpModel, m: int, n: int, first_z: int) -> None:
     """Append the EF linking rows of one m x n allocation block whose z[i, j]
     sits in column first_z + i*n + j: z_ij - x_j <= 0 for every (i, j), then
     sum_j z_ij <= 1 for every i (x_j is column 1 + j)."""
     z = first_z + np.arange(m * n)
     x = 1 + np.tile(np.arange(n), m)
-    model.add_rows(
-        np.arange(0, 2 * m * n + 1, 2),
-        np.column_stack((z, x)).ravel(),
-        np.tile((1.0, -1.0), m * n),
-        "<=",
-        0.0,
-        [f"open{i}_{j}{tag_suffix}" for i in range(m) for j in range(n)],
-    )
-    model.add_rows(np.arange(0, m * n + 1, n), z, np.ones(m * n), "<=", 1.0, [f"one{i}{tag_suffix}" for i in range(m)])
+    model.add_rows(np.arange(0, 2 * m * n + 1, 2), np.column_stack((z, x)).ravel(), np.tile((1.0, -1.0), m * n), "<=", 0.0)
+    model.add_rows(np.arange(0, m * n + 1, n), z, np.ones(m * n), "<=", 1.0)
 
 
-def add_eta_row(model: LpModel, first: int, coef, constant: float, tag: str = "") -> int:
+def add_eta_row(model: LpModel, first: int, coef, constant: float) -> int:
     """Append eta - sum_k coef[k] * v[first + k] <= constant, coef flattened
     in row-major order; zero coefficients are dropped."""
     coef = np.asarray(coef, dtype=float).ravel()
@@ -134,13 +124,13 @@ def add_eta_row(model: LpModel, first: int, coef, constant: float, tag: str = ""
     index[0], value[0] = 0, 1.0
     np.add(cols, first, out=index[1:])
     np.negative(coef[cols], out=value[1:])
-    return model.add_rows((0, index.size), index, value, "<=", constant, (tag,))
+    return model.add_rows((0, index.size), index, value, "<=", constant)
 
 
 def add_cut_row(model: LpModel, inst: Instance, cut: Cut) -> int:
     if cut.kind == "EF":
-        return add_eta_row(model, zcol(inst, 0, 0), cut.zcoef, cut.constant, f"cut{model.nrows}")
-    return add_eta_row(model, 1, cut.xcoef, cut.constant, f"cut{model.nrows}")
+        return add_eta_row(model, zcol(inst, 0, 0), cut.zcoef, cut.constant)
+    return add_eta_row(model, 1, cut.xcoef, cut.constant)
 
 
 class _Search:
@@ -150,7 +140,6 @@ class _Search:
         self.inst = inst
         self.cfg = cfg
         self.model = build_model(inst, cfg.formulation)
-        self.sigma = sigma_order(inst)
         self.pool = FollowerPool()
         self.registry: set[tuple] = set()
         self.cuts = 0
@@ -174,13 +163,8 @@ class _Search:
     def separate(self, pt: RelaxPoint) -> list[Cut]:
         t = time.perf_counter()
         form = self.cfg.formulation
-        args = (pt, self.inst, self.pool, self.cfg.eps_viol)
-        if form == "SF":
-            cuts = separate_sf(*args)
-        elif form == "GSF":
-            cuts = separate_gsf(*args, self.sigma)
-        else:
-            cuts = separate_ef(*args)
+        separate = separate_sf if form == "SF" else separate_gsf if form == "GSF" else separate_ef
+        cuts = separate(pt, self.inst, self.pool, self.cfg.eps_viol)
         self.sep_time += time.perf_counter() - t
         return cuts
 
@@ -242,6 +226,12 @@ def _dominated(bound: float, lb: float, gap_tol: float) -> bool:
     return at_most(bound * (1.0 - gap_tol), lb)
 
 
+def _gap_pruned(gap_bound: float, bound: float, lb: float) -> float:
+    """gap_bound raised to a dropped node's bound when only the gap
+    tolerance dropped it: the optimum may still lie in its subtree."""
+    return gap_bound if at_most(bound, lb) else max(gap_bound, bound)
+
+
 def _exact_value(inst: Instance, x) -> float:
     _, value = follower_best_response(inst, x, mode="rmedian")
     return value
@@ -278,6 +268,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
     search = _Search(inst, cfg)
     n = inst.n
     lb, best_x = -math.inf, None
+    gap_bound = -math.inf  # largest bound of a node dropped only by the gap tolerance
     root_bound = math.nan
     status = "optimal"
     counter = itertools.count()
@@ -288,6 +279,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         neg_bound, _, fix0, fix1 = heapq.heappop(heap)
         bound = -neg_bound
         if _dominated(bound, lb, cfg.gap_tol):
+            gap_bound = _gap_pruned(gap_bound, bound, lb)
             continue
         if search.out_of_time():
             heapq.heappush(heap, (neg_bound, next(counter), fix0, fix1))
@@ -317,6 +309,8 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             },
         )
 
+        if outcome == "dominated":
+            gap_bound = _gap_pruned(gap_bound, obj, lb)
         if outcome in ("infeasible", "dominated"):
             continue
         if outcome == "timeout":
@@ -337,11 +331,8 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             if len(child1) <= inst.p and n - len(child0) >= inst.p:
                 heapq.heappush(heap, (-obj, next(counter), child0, child1))
 
-    ub = lb
-    if heap:
-        open_bounds = [-hb for hb, *_ in heap]
-        ub = max(lb, max(open_bounds, default=lb))
-    gap = 0.0 if status == "optimal" else (ub - lb) / ub * 100.0 if ub > 0 else math.inf
+    ub = max(lb, gap_bound, *(-hb for hb, *_ in heap))
+    gap = 0.0 if ub == lb else (ub - lb) / ub * 100.0 if ub > 0 else math.inf
     objective = lb if best_x is not None else math.nan
     rg = math.nan
     if best_x is not None and objective > 0 and not math.isnan(root_bound):

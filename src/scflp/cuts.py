@@ -50,13 +50,6 @@ def _key(bits) -> tuple:
     return tuple(np.asarray(bits).ravel().astype(np.int64).tolist())
 
 
-def sigma_order(inst: Instance) -> np.ndarray:
-    """Per-customer site permutation by descending attractiveness, ties by
-    ascending index.  The capture-ratio ordering it induces is the same for
-    every follower choice."""
-    return np.argsort(-inst.v, axis=1, kind="stable")
-
-
 def submodular_cut(inst: Instance, y, S, cy: np.ndarray | None = None) -> Cut:
     """Classic aggregated cut for follower choice y and site set S:
     constant G_y(S), coefficient on j the marginal gain of adding j to S."""
@@ -101,12 +94,12 @@ def _prefix_lengths(xs_sorted: np.ndarray) -> np.ndarray:
     return k
 
 
-def tight_ell(inst: Instance, xstar, sigma: np.ndarray | None = None) -> np.ndarray:
+def tight_ell(inst: Instance, xstar) -> np.ndarray:
     """Anchor vector whose cut is deepest at xstar: per customer, the first
     site (by descending v) past the unit prefix mass, or the virtual site n
     when the whole row's mass stays below one.  Independent of the follower
     choice."""
-    sigma = sigma_order(inst) if sigma is None else sigma
+    sigma = inst.sigma
     xs = np.asarray(xstar, dtype=float).clip(0.0, 1.0)
     k = _prefix_lengths(xs[sigma])
     inside = k < inst.n
@@ -137,7 +130,7 @@ def _ratio_sums(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def gsf_separation_costs(inst: Instance, xstar, sigma: np.ndarray | None = None) -> RMedianInstance:
+def gsf_separation_costs(inst: Instance, xstar) -> RMedianInstance:
     """r-median reduction of the exact anchor-cut separation at xstar.
 
     For each customer the prefix sites (descending v, mass below one) keep
@@ -146,7 +139,7 @@ def gsf_separation_costs(inst: Instance, xstar, sigma: np.ndarray | None = None)
     against v[i, k].  The virtual site carries v = 0, so the remainder term
     vanishes when the prefix spans the whole row.
     """
-    sigma = sigma_order(inst) if sigma is None else sigma
+    sigma = inst.sigma
     xs = np.asarray(xstar, dtype=float).clip(0.0, 1.0)[sigma]  # masses in descending-v order
     vs = np.take_along_axis(inst.v, sigma, axis=1)
     lengths = _prefix_lengths(xs)

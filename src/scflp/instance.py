@@ -17,6 +17,7 @@ locale independent, decimal point only).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +41,9 @@ class Instance:
     r: int
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        # private copies: freezing them leaves the caller's arrays writable
+        w = np.array(self.w, dtype=float)
+        v = np.array(self.v, dtype=float)
         if self.m < 1 or self.n < 1:
             raise InstanceError("m and n must be at least 1")
         if w.shape != (self.m,):
@@ -64,6 +66,15 @@ class Instance:
     @property
     def total_demand(self) -> float:
         return float(self.w.sum())
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """(m, n) read-only per-customer site permutation by descending
+        attractiveness, ties by ascending index.  The capture-ratio ordering
+        it induces is the same for every follower choice."""
+        order = np.argsort(-self.v, axis=1, kind="stable")
+        order.setflags(write=False)
+        return order
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
 """Bounded-variable LP layer used by the branch-and-cut driver.
 
 Models are maximization problems over a fixed column set with a growable
-row set (cuts append rows).  Each model keeps its rows once, in growable
-numpy arrays: column, coefficient and row id per nonzero, row start
-offsets, row lower and upper bounds, and a tag per row.  Capacities double
-as they fill (one capacity test per append), so appending a row costs
-amortized O(1).  ``add_rows`` appends any number of rows given in CSR form
-in one call; ``add_row`` is its one-row wrapper.  Both drop zero
-coefficients, keep the rest in the order given, and reject malformed CSR
-data, bad senses, non-finite data, invalid columns and a column repeated
-within a row at append time.  An append is a fixed handful of numpy calls
-whatever its size: the repeat check sorts only a block whose columns fall
-inside a row, and row ids are filled when the rows are handed to HiGHS, in
-one call per solve.
+row set (cuts append rows).  A model holds numbers only: no column or row
+labels, and no text rendering.  It keeps its rows once, in growable numpy
+arrays: column, coefficient and row id per nonzero, row start offsets, and
+row lower and upper bounds.  Capacities double as they fill (one capacity
+test per append), so appending a row costs amortized O(1).  ``add_rows``
+appends any number of rows given in CSR form, all of one sense, in one
+call; ``add_row`` is its one-row wrapper for a {column: coefficient} dict.
+Both drop zero coefficients, keep the rest in the order given, and reject
+malformed CSR data, bad senses, non-finite data, invalid columns and a
+column repeated within a row at append time; an error names the row by its
+index.  An append is a fixed handful of numpy calls whatever its size: the
+repeat check sorts only a block whose columns fall inside a row, and row
+ids are filled when the rows are handed to HiGHS, in one call per solve.
 
 Each model owns one persistent HiGHS instance, created on its first solve:
 single-threaded dual simplex, no presolve, output off, so identical call
@@ -44,11 +45,6 @@ few milliseconds.  There is no other import path.  If
 ``scipy.optimize`` was imported first, its module is reused; if it is
 imported later, it finds this one.  Either way the process holds one
 binding and one ``_Highs`` type.
-
-``to_lp_text`` renders a model in the LP interchange format (Maximize /
-Subject To / Bounds / End sections, one row per line, ``<=``, ``>=``, ``=``
-relations, 12 significant digits) so external solvers can cross-check any
-model this package builds.
 """
 
 from __future__ import annotations
@@ -105,20 +101,18 @@ class LpRow:
     coef: dict[int, float]
     sense: str  # "<=", ">=", "="
     rhs: float
-    tag: str = ""
 
 
 class LpModel:
     """Dense-column maximization LP with mutable variable bounds."""
 
-    def __init__(self, objective, lower, upper, names=None):
+    def __init__(self, objective, lower, upper):
         self.objective = np.asarray(objective, dtype=float)
         self.lower = np.asarray(lower, dtype=float).copy()
         self.upper = np.asarray(upper, dtype=float).copy()
         self.ncols = self.objective.size
         if self.lower.shape != (self.ncols,) or self.upper.shape != (self.ncols,):
             raise ValueError("bound arrays must match the objective length")
-        self.names = list(names) if names is not None else [f"v{j}" for j in range(self.ncols)]
         self._highs = None  # created on the first solve
         self._cols = np.arange(self.ncols, dtype=np.int32)
         self._synced = 0  # rows already passed to HiGHS
@@ -133,7 +127,6 @@ class LpModel:
         self._start = np.zeros(1, np.int64)  # row k: nonzeros _start[k] to _start[k + 1]
         self._row_lo = np.empty(0)
         self._row_hi = np.empty(0)
-        self._tags: list[str] = []
 
     def _reserve(self, nnz: int, nrows: int):
         """Grow the row store to hold nnz nonzeros and nrows rows; a group
@@ -166,32 +159,28 @@ class LpModel:
         index = self._index[: self._nnz].tolist()
         value = self._value[: self._nnz].tolist()
         out = []
-        for k, (lo, hi, tag) in enumerate(zip(self._row_lo.tolist(), self._row_hi.tolist(), self._tags)):
+        n = self._nrows
+        for k, (lo, hi) in enumerate(zip(self._row_lo[:n].tolist(), self._row_hi[:n].tolist())):
             sense, rhs = ("<=", hi) if lo == -np.inf else (">=", lo) if hi == np.inf else ("=", lo)
             s, e = start[k], start[k + 1]
-            out.append(LpRow(dict(zip(index[s:e], value[s:e])), sense, rhs, tag))
+            out.append(LpRow(dict(zip(index[s:e], value[s:e])), sense, rhs))
         return out
 
-    def add_row(self, coef, sense: str, rhs: float, tag: str = "") -> int:
-        """Append one row; coef is a {column: coefficient} dict or a dense
-        coefficient vector.  Returns the row's index."""
-        if isinstance(coef, dict):
-            index = np.fromiter(coef.keys(), np.int64, len(coef))
-            value = np.fromiter(coef.values(), float, len(coef))
-        else:
-            arr = np.asarray(coef, dtype=float)
-            index = np.flatnonzero(arr)
-            value = arr[index]
-        return self.add_rows((0, index.size), index, value, sense, rhs, (tag,))
+    def add_row(self, coef: dict[int, float], sense: str, rhs: float) -> int:
+        """Append one row given as a {column: coefficient} dict.  Returns
+        the row's index."""
+        index = np.fromiter(coef.keys(), np.int64, len(coef))
+        value = np.fromiter(coef.values(), float, len(coef))
+        return self.add_rows((0, index.size), index, value, sense, rhs)
 
-    def add_rows(self, indptr, index, value, sense, rhs, tags=None) -> int:
+    def add_rows(self, indptr, index, value, sense: str, rhs) -> int:
         """Append k rows in CSR form: row t has the columns
         index[indptr[t]:indptr[t + 1]] with coefficients value[...].  sense
-        and rhs are one value for every row or one per row; tags is None
-        (empty tags) or one string per row.  Zero coefficients are dropped
-        and the rest kept in the order given; the columns of a row must be
-        distinct.  Invalid data raises ValueError and leaves the model
-        unchanged.  Returns the first new row's index."""
+        is one of "<=", ">=", "=" for every row; rhs is one value for every
+        row or one per row.  Zero coefficients are dropped and the rest kept
+        in the order given; the columns of a row must be distinct.  Invalid
+        data raises ValueError and leaves the model unchanged.  Returns the
+        first new row's index."""
         indptr = np.asarray(indptr, dtype=np.int64)
         index = np.asarray(index, dtype=np.int64)
         value = np.asarray(value, dtype=float)
@@ -202,34 +191,21 @@ class LpModel:
             raise ValueError("malformed row data: indptr must rise from 0 to the number of entries")
         if rhs.shape not in ((), (k,)):
             raise ValueError(f"{rhs.size} right-hand sides for {k} rows")
-        tags = [""] * k if tags is None else list(tags)
-        if len(tags) != k:
-            raise ValueError(f"{len(tags)} tags for {k} rows")
-        if isinstance(sense, str):
-            if sense not in _SENSES:
-                raise ValueError(f"bad row sense {sense!r}")
-            lo = -np.inf if sense == "<=" else rhs
-            hi = np.inf if sense == ">=" else rhs
-        else:
-            sense = np.asarray(sense, dtype=object)
-            if sense.shape != (k,):
-                raise ValueError(f"{sense.size} senses for {k} rows")
-            for s in sense:
-                if s not in _SENSES:
-                    raise ValueError(f"bad row sense {s!r}")
-            lo = np.where(sense == "<=", -np.inf, rhs)
-            hi = np.where(sense == ">=", np.inf, rhs)
+        if not isinstance(sense, str) or sense not in _SENSES:
+            raise ValueError(f"bad row sense {sense!r}")
+        lo = -np.inf if sense == "<=" else rhs
+        hi = np.inf if sense == ">=" else rhs
         r0 = self._nrows
         # a sum of squares is finite when every entry is; it can also
         # overflow, so the culprit is found before anything is refused
         if not math.isfinite(value @ value + rhs.sum()):
             bad = np.flatnonzero(~np.isfinite(np.broadcast_to(rhs, (k,))))
             if bad.size:
-                raise ValueError(f"row {r0 + bad[0]} ({tags[bad[0]]!r}) has a non-finite right-hand side")
+                raise ValueError(f"row {r0 + bad[0]} has a non-finite right-hand side")
             bad = np.flatnonzero(~np.isfinite(value))
             if bad.size:
                 t = int(np.searchsorted(indptr, bad[0], side="right")) - 1
-                raise ValueError(f"row {r0 + t} ({tags[t]!r}) has a non-finite coefficient")
+                raise ValueError(f"row {r0 + t} has a non-finite coefficient")
         if np.count_nonzero(value) < value.size:
             keep = value != 0.0
             indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]  # kept entries before each start
@@ -253,7 +229,7 @@ class LpModel:
             dup = np.flatnonzero(key[1:] == key[:-1])
             if dup.size:
                 r, j = divmod(int(key[dup[0]]), self.ncols)
-                raise ValueError(f"row {r} ({tags[r - r0]!r}) repeats column {j}")
+                raise ValueError(f"row {r} repeats column {j}")
 
         n0 = self._nnz
         n1 = n0 + index.size
@@ -264,7 +240,6 @@ class LpModel:
         np.add(indptr[1:], n0, out=self._start[r0 + 1 : r1 + 1])
         self._row_lo[r0:r1] = lo
         self._row_hi[r0:r1] = hi
-        self._tags.extend(tags)
         self._nrows, self._nnz = r1, n1
         return r0
 
@@ -297,33 +272,6 @@ class LpModel:
         return np.bincount(
             self._row_id[:nnz], weights=self._value[:nnz] * x[self._index[:nnz]], minlength=self._nrows
         )
-
-    def to_lp_text(self) -> str:
-        def num(x: float) -> str:
-            return f"{x:.12g}"
-
-        def expr(coef: dict[int, float]) -> str:
-            parts = []
-            for j in sorted(coef):
-                c = coef[j]
-                if not parts:
-                    parts.append(f"{'-' if c < 0 else ''}{num(abs(c))} {self.names[j]}")
-                else:
-                    parts.append(f"{'-' if c < 0 else '+'} {num(abs(c))} {self.names[j]}")
-            return " ".join(parts) if parts else "0"
-
-        lines = ["Maximize", f" obj: {expr({j: c for j, c in enumerate(self.objective) if c != 0.0})}"]
-        lines.append("Subject To")
-        for k, row in enumerate(self.rows):
-            tag = row.tag or f"c{k}"
-            lines.append(f" {tag}: {expr(row.coef)} {row.sense} {num(row.rhs)}")
-        lines.append("Bounds")
-        for j in range(self.ncols):
-            lo = "-inf" if np.isneginf(self.lower[j]) else num(self.lower[j])
-            hi = "+inf" if np.isposinf(self.upper[j]) else num(self.upper[j])
-            lines.append(f" {lo} <= {self.names[j]} <= {hi}")
-        lines.append("End")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

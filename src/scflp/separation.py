@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cuts import Cut, ef_cut, ef_separation_costs, gsf_separation_costs, improved_cut, sigma_order, submodular_cut, tight_ell
+from .cuts import Cut, ef_cut, ef_separation_costs, gsf_separation_costs, improved_cut, submodular_cut, tight_ell
 from .instance import Instance
 from .market import compute_cy, indicator, open_sites, response_costs
 from .rmedian import RMedianInstance, rmedian_solve
@@ -150,7 +150,6 @@ def separate_gsf(
     inst: Instance,
     pool: FollowerPool,
     eps: float = EPS_VIOL,
-    sigma: np.ndarray | None = None,
 ) -> list[Cut]:
     """Anchor-cut separation, exact at arbitrary points.
 
@@ -161,8 +160,7 @@ def separate_gsf(
     """
     if pt.z is not None:
         raise ValueError("anchor separation takes points without allocations")
-    sigma = sigma_order(inst) if sigma is None else sigma
-    ell = tight_ell(inst, pt.x, sigma)
+    ell = tight_ell(inst, pt.x)
     hits = []
     for y, cy in pool.scan(inst):
         cut = improved_cut(inst, y, ell, cy)
@@ -170,7 +168,7 @@ def separate_gsf(
             hits.append(cut)
     if hits:
         return hits
-    sites, _ = _exact(gsf_separation_costs(inst, pt.x, sigma), pool)
+    sites, _ = _exact(gsf_separation_costs(inst, pt.x), pool)
     y_star = indicator(inst.n, sites)
     pool.add(y_star)
     return _exact_verdict(improved_cut(inst, y_star, ell), pt, eps)

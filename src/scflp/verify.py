@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnc import add_cut_row, add_eta_row, add_linking_rows
-from .cuts import _prefix_lengths, ef_cut, gsf_separation_costs, improved_cut, sigma_order, tight_ell
+from .cuts import _prefix_lengths, ef_cut, gsf_separation_costs, improved_cut, tight_ell
 from .instance import Instance
 from .lp import LpModel, lp_solve
 from .market import compute_cy, indicator, open_sites, share_of_set
@@ -71,7 +71,7 @@ def _anchor_polytope(inst: Instance, y) -> LpModel:
     obj = np.zeros(1 + inst.n)
     lower = np.concatenate(([-np.inf], np.zeros(inst.n)))
     upper = np.concatenate(([np.inf], np.ones(inst.n)))
-    model = LpModel(obj, lower, upper, ["eta"] + [f"x{j}" for j in range(inst.n)])
+    model = LpModel(obj, lower, upper)
     rows = _anchor_rows(inst, y, compute_cy(inst, y))
     # dense rows [1, -xcoef] over (eta, x); add_rows drops the zeros
     dense = np.ones_like(rows)
@@ -92,8 +92,7 @@ def _assignment_polytope(inst: Instance, y) -> LpModel:
     obj = np.zeros(1 + n + m * n)
     lower = np.concatenate(([-np.inf], np.zeros(n + m * n)))
     upper = np.concatenate(([np.inf], np.ones(n + m * n)))
-    names = ["eta"] + [f"x{j}" for j in range(n)] + [f"z{i}_{j}" for i in range(m) for j in range(n)]
-    model = LpModel(obj, lower, upper, names)
+    model = LpModel(obj, lower, upper)
     add_linking_rows(model, m, n, 1 + n)
     add_cut_row(model, inst, ef_cut(inst, y))
     return model
@@ -152,12 +151,12 @@ def verify_prop61(inst: Instance, xstar, y) -> float:
     return abs(best - reduced)
 
 
-def greedy_assignment(inst: Instance, x, sigma: np.ndarray | None = None) -> np.ndarray:
+def greedy_assignment(inst: Instance, x) -> np.ndarray:
     """Prefix-greedy allocation for leader vector x, as the GSF separation
     prices it: each customer's unit prefix of sites (``cuts._prefix_lengths``)
     keeps its x mass, and the next site takes what is left of one, up to its
     own mass.  Optimal for every follower choice at once, integral for integral x."""
-    sigma = sigma_order(inst) if sigma is None else sigma
+    sigma = inst.sigma
     xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)[sigma]  # masses in descending-v order
     lengths = _prefix_lengths(xs)
     zs = np.where(np.arange(inst.n) < lengths[:, None], xs, 0.0)
@@ -210,20 +209,19 @@ def verify_aggregation(inst: Instance, trials: int = 5, seed: int = 0, y_cap: in
     model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p))
     for t, y in enumerate(y_list):
         base = 1 + n + t * m * n
-        add_linking_rows(model, m, n, base, f"_y{t}")
+        add_linking_rows(model, m, n, base)
         add_eta_row(model, base, ef_cut(inst, y).zcoef, 0.0)
     disagg = lp_solve(model)
     if disagg.status != "optimal":
         raise RuntimeError("disaggregated-allocation LP failed")
 
-    sigma = sigma_order(inst)
     rng = np.random.default_rng(seed)
     max_greedy = 0.0
     max_dual = 0.0
     for _ in range(trials):
         x = rng.uniform(0.0, 1.0, size=n)
-        z = greedy_assignment(inst, x, sigma)
-        ell = tight_ell(inst, x, sigma)
+        z = greedy_assignment(inst, x)
+        ell = tight_ell(inst, x)
         for y in y_list:
             cy = compute_cy(inst, y)
             for i in range(m):

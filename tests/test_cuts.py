@@ -13,7 +13,6 @@ from scflp.cuts import (
     ef_separation_costs,
     gsf_separation_costs,
     improved_cut,
-    sigma_order,
     submodular_cut,
     tight_ell,
 )
@@ -101,7 +100,7 @@ def test_tight_ell_golden_traces(golden):
 
 def _tight_ell_per_row(inst, xstar):
     """Reference: the per-customer loop tight_ell replaced."""
-    sigma = sigma_order(inst)
+    sigma = inst.sigma
     xs = np.clip(np.asarray(xstar, dtype=float), 0.0, 1.0)
     ell = np.empty(inst.m, dtype=int)
     for i in range(inst.m):
@@ -117,7 +116,7 @@ def test_tight_ell_matches_per_row_loop():
         inst = random_instance(rng, m=int(rng.integers(1, 9)), n=int(rng.integers(2, 9)))
         x = rng.uniform(0.0, 1.0, size=inst.n) * rng.choice([0.1, 0.5, 1.0])  # some rows never reach 1
         if k % 3 == 0:
-            x[sigma_order(inst)[0, 0]] = 1.0 - 1e-9  # first site of row 0 counts as open
+            x[inst.sigma[0, 0]] = 1.0 - 1e-9  # first site of row 0 counts as open
         if k % 5 == 0:
             x = np.round(x, 1)
         np.testing.assert_array_equal(tight_ell(inst, x), _tight_ell_per_row(inst, x))
@@ -158,7 +157,7 @@ def test_gsf_costs_match_anchor_minimum():
 
 def _gsf_costs_per_customer(inst, xstar):
     """Reference: the per-customer loop gsf_separation_costs replaced."""
-    sigma = sigma_order(inst)
+    sigma = inst.sigma
     xs = np.clip(np.asarray(xstar, dtype=float), 0.0, 1.0)
     lengths = _prefix_lengths(xs[sigma])
     b = np.empty((inst.m, inst.n))
@@ -190,7 +189,7 @@ def test_blocked_separation_costs_match_per_customer_loop():
     rng = np.random.default_rng(83)
     for m, n in sizes:
         inst = random_instance(rng, m=m, n=n, p=1, r=1)
-        sigma = sigma_order(inst)
+        sigma = inst.sigma
         points = [
             rng.uniform(0.0, 1.0, size=n) * min(1.0, 4.0 / n),  # fractional
             np.zeros(n),  # zero masses: no prefix has weight
@@ -330,10 +329,13 @@ def test_tight_anchor_cut_is_tight_at_integral_points():
 
 def test_sigma_breaks_ties_by_index():
     inst = golden_instance()
-    sig = sigma_order(inst)
+    sig = inst.sigma
     np.testing.assert_array_equal(sig[0], [1, 0, 2])
     np.testing.assert_array_equal(sig[1], [0, 1, 2])
     np.testing.assert_array_equal(sig[2], [2, 0, 1])
+    assert inst.sigma is sig
+    with pytest.raises(ValueError, match="read-only"):
+        sig[0, 0] = 0
 
 
 def test_cut_coefficients_nonnegative_and_finite():

@@ -128,3 +128,18 @@ def test_save_text_equals_numpy_scalar_formatting():
 def test_nonpositive_sizes_raise_instance_error(sizes):
     with pytest.raises(InstanceError):
         load_instance(f"scflp 1\n{sizes}\n1\n1 1\n")
+
+
+def test_instance_keeps_private_frozen_copies():
+    """Constructing an instance leaves the caller's arrays writable, and
+    writing to them does not reach the instance's frozen copies."""
+    w = np.array([1.0, 2.0])
+    v = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+    inst = Instance(m=2, n=3, w=w, v=v, p=1, r=1)
+    w[0] = 5.0
+    v[1, 2] = 7.0
+    assert inst.w.tolist() == [1.0, 2.0]
+    assert inst.v.tolist() == [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]
+    for arr in (inst.w, inst.v):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 9.0

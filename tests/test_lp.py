@@ -15,7 +15,7 @@ from test_cuts import GOLDEN_GSF, Y_ALL
 
 
 def test_single_row_cap():
-    model = LpModel([1.0], [-np.inf], [np.inf], ["eta"])
+    model = LpModel([1.0], [-np.inf], [np.inf])
     model.add_row({0: 1.0}, "<=", 1.5)
     res = lp_solve(model)
     assert res.status == "optimal"
@@ -210,48 +210,48 @@ def test_optimal_solutions_respect_residual_contract():
     assert res.max_violation <= 1e-7
 
 
-def test_lp_text_dump(golden):
+def test_gsf_model_rows_and_bounds(golden):
+    """The cardinality row, eta's bounds and a cut row, read back from the
+    model's numbers."""
     model = build_model(golden, "GSF")
     add_cut_row(model, golden, improved_cut(golden, Y_ALL, np.array([0, 1, 0])))
-    text = model.to_lp_text()
-    for section in ("Maximize", "Subject To", "Bounds", "End"):
-        assert section in text
-    assert " card: 1 x0 + 1 x1 + 1 x2 = 2" in text
-    assert "-inf <= eta <= 3" in text
-    # cut row carries 12-significant-digit coefficients
-    assert "0.166666666667" in text
+    card, cut = model.rows
+    assert (card.coef, card.sense, card.rhs) == ({1: 1.0, 2: 1.0, 3: 1.0}, "=", 2.0)
+    assert (model.lower[0], model.upper[0]) == (-np.inf, 3.0)
+    assert cut.sense == "<=" and cut.rhs == pytest.approx(1.0, rel=1e-12)
+    assert cut.coef == pytest.approx({0: 1.0, 1: -1 / 6, 2: -1 / 6, 3: -1 / 6}, rel=1e-12)
 
 
 def _row_records(model: LpModel):
     """Rows with their coefficients in stored order (LpRow equality would
     ignore the order of a dict)."""
-    return [(r.tag, r.sense, r.rhs, list(r.coef.items())) for r in model.rows]
+    return [(r.sense, r.rhs, list(r.coef.items())) for r in model.rows]
 
 
 def test_add_rows_matches_add_row_loop():
-    """One bulk append and a loop of single-row appends build the same
-    model: rows, LP text and every solve bit for bit.  The rows include an
-    empty row, explicit zeros and all three senses, and 300 rows grow the
-    store through several capacity doublings."""
+    """Bulk appends, one per run of rows of one sense, and a loop of
+    single-row appends build the same model: rows and every solve bit for
+    bit.  The rows include an empty row, explicit zeros and all three
+    senses, and 300 rows grow the store through several capacity
+    doublings."""
     rng = np.random.default_rng(71)
     n = 6
     objective = rng.normal(size=n)
     lower, upper = -np.ones(n), 2.0 * np.ones(n)
     anchor = rng.uniform(-0.5, 1.0, size=n)
-    indptr, index, value, senses, rhs, tags = [0], [], [], [], [], []
+    indptr, index, value, senses, rhs = [0], [], [], [], []
     for t in range(300):
         size = 0 if t == 5 else int(rng.integers(1, n + 1))
         cols = rng.choice(n, size=size, replace=False)
         coefs = rng.uniform(-1.0, 1.0, size=size)
         coefs[rng.random(size) < 0.2] = 0.0  # explicit zeros
-        sense = ("<=", ">=", "=")[t % 3] if t % 7 else "<="
+        sense = ("<=", ">=", "=")[(t // 10) % 3]  # runs of ten rows of one sense
         lhs = float(coefs @ anchor[cols])
         index += cols.tolist()
         value += coefs.tolist()
         indptr.append(len(index))
         senses.append(sense)
         rhs.append(lhs if sense == "=" else lhs + (0.5 if sense == "<=" else -0.5))
-        tags.append(f"r{t}" if t % 2 else "")
 
     looped = LpModel(objective, lower, upper)
     bulk = LpModel(objective, lower, upper)
@@ -259,19 +259,20 @@ def test_add_rows_matches_add_row_loop():
         first = looped.nrows
         for t in range(first, step):
             s, e = indptr[t], indptr[t + 1]
-            looped.add_row(dict(zip(index[s:e], value[s:e])), senses[t], rhs[t], tags[t])
-        base = indptr[first]
-        assert bulk.add_rows(
-            np.asarray(indptr[first : step + 1]) - base,
-            index[base : indptr[step]],
-            value[base : indptr[step]],
-            senses[first:step],
-            rhs[first:step],
-            tags[first:step],
-        ) == first
+            looped.add_row(dict(zip(index[s:e], value[s:e])), senses[t], rhs[t])
+        for sense, run in itertools.groupby(range(first, step), key=senses.__getitem__):
+            run = list(run)
+            lo, hi = run[0], run[-1] + 1
+            base = indptr[lo]
+            assert bulk.add_rows(
+                np.asarray(indptr[lo : hi + 1]) - base,
+                index[base : indptr[hi]],
+                value[base : indptr[hi]],
+                sense,
+                rhs[lo:hi],
+            ) == lo
         assert bulk.nrows == looped.nrows == step
         assert _row_records(bulk) == _row_records(looped)
-        assert bulk.to_lp_text() == looped.to_lp_text()
         a, b = lp_solve(looped), lp_solve(bulk)
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
@@ -283,7 +284,7 @@ def test_add_rows_matches_add_row_loop():
 def test_add_rows_validates_like_add_row():
     model = LpModel([1.0, 0.0], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="bad row sense"):
-        model.add_rows((0, 1, 2), (0, 1), (1.0, 1.0), ["<=", "=<"], 1.0)
+        model.add_rows((0, 1, 2), (0, 1), (1.0, 1.0), "=<", 1.0)
     with pytest.raises(ValueError, match="invalid column 2"):
         model.add_rows((0, 1, 2), (0, 2), (1.0, 1.0), "<=", 1.0)
     with pytest.raises(ValueError, match="invalid column -1"):
@@ -294,6 +295,16 @@ def test_add_rows_validates_like_add_row():
     assert model.nrows == 1 and model.rows[0].coef == {0: 1.0}
 
 
+def test_sense_is_one_string_per_call():
+    """add_rows takes one sense for all its rows; a sequence of senses is
+    refused and leaves the model unchanged."""
+    model = LpModel([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    for sense in (["<=", "<="], ("<=", ">="), ["<="], np.array(["<=", "<="])):
+        with pytest.raises(ValueError, match="bad row sense"):
+            model.add_rows((0, 1, 2), (0, 1), (1.0, 1.0), sense, 1.0)
+    assert model.nrows == 0
+
+
 def test_non_finite_row_data_rejected_at_append():
     """A NaN coefficient used to pass HiGHS and come back "optimal" with a
     nan residual; non-finite data is now refused when the row is added,
@@ -301,9 +312,9 @@ def test_non_finite_row_data_rejected_at_append():
     model = LpModel([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
     model.add_row({0: 1.0}, "<=", 1.0)
     for coef, rhs in (({0: 1.0, 1: np.nan}, 1.0), ({1: np.inf}, 1.0), ({0: 1.0}, np.nan), ({0: 1.0}, -np.inf)):
-        with pytest.raises(ValueError, match=r"row 1 \('bad'\) has a non-finite"):
-            model.add_row(coef, "<=", rhs, "bad")
-    with pytest.raises(ValueError, match=r"row 3 \(''\) has a non-finite coefficient"):
+        with pytest.raises(ValueError, match=r"row 1 has a non-finite"):
+            model.add_row(coef, "<=", rhs)
+    with pytest.raises(ValueError, match=r"row 3 has a non-finite coefficient"):
         model.add_rows((0, 1, 2, 3), (0, 1, 0), (1.0, 1.0, -np.inf), "<=", 1.0)
     assert model.nrows == 1
     res = lp_solve(model)
@@ -315,14 +326,14 @@ def test_repeated_column_rejected_at_append():
     later solve of the model failed in HiGHS's addRows.  It is refused at
     append time, naming the row, and the model stays as it was."""
     model = LpModel([1.0, 1.0, 1.0], [0.0] * 3, [1.0] * 3)
-    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.5, "cap")
-    with pytest.raises(ValueError, match=r"row 1 \('dup'\) repeats column 0"):
-        model.add_rows((0, 3), (0, 1, 0), (1.0, 1.0, 1.0), "<=", 1.0, ("dup",))
-    with pytest.raises(ValueError, match=r"row 2 \('b'\) repeats column 2"):
-        model.add_rows((0, 2, 5), (0, 1, 2, 1, 2), (1.0,) * 5, "<=", 1.0, ("a", "b"))
+    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.5)
+    with pytest.raises(ValueError, match=r"row 1 repeats column 0"):
+        model.add_rows((0, 3), (0, 1, 0), (1.0, 1.0, 1.0), "<=", 1.0)
+    with pytest.raises(ValueError, match=r"row 2 repeats column 2"):
+        model.add_rows((0, 2, 5), (0, 1, 2, 1, 2), (1.0,) * 5, "<=", 1.0)
     assert model.nrows == 1 and model.rows[0].coef == {0: 1.0, 1: 1.0}
     # a repeat whose coefficient is zero is dropped before the check
-    model.add_rows((0, 3), (2, 0, 2), (1.0, 1.0, 0.0), "<=", 2.0, ("ok",))
+    model.add_rows((0, 3), (2, 0, 2), (1.0, 1.0, 0.0), "<=", 2.0)
     assert model.rows[1].coef == {2: 1.0, 0: 1.0}
     res = lp_solve(model)
     assert res.status == "optimal" and res.objective == pytest.approx(2.5, abs=1e-12)
@@ -407,7 +418,7 @@ def test_add_cut_row_matches_dict_reference(golden):
         expected = _dict_cut_row(golden, cut)
         assert list(row.coef) == list(expected)
         assert list(row.coef.values()) == list(expected.values())
-        assert (row.sense, row.rhs, row.tag) == ("<=", cut.constant, f"cut{k}")
+        assert (row.sense, row.rhs) == ("<=", cut.constant)
 
 
 def test_bound_fix_and_restore_solves_like_a_fresh_model():
