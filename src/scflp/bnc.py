@@ -170,10 +170,10 @@ class _Search:
 
     def best_response(self, xint: np.ndarray):
         """Exact follower best response to the integral leader choice xint:
-        (y, value).  The last exact separation solve is reused when its
-        r-median costs are bit-identical to the best response's (same
-        instance, so the same weights and r): the solver is deterministic.
-        A fresh solve starts from the pool's members."""
+        (y, value).  The last exact separation solve (deterministic, same w
+        and r) is reused when its costs equal the best response's bit for
+        bit, as each formulation's do at a point with xint's greedy
+        allocation (``market.response_costs``); else a fresh solve starts from the pool."""
         last = self.pool.last_solve
         if last is not None and np.array_equal(last[0].cost, response_costs(self.inst, xint).cost):
             return indicator(self.inst.n, last[1]), last[2]
@@ -334,6 +334,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
     ub = max(lb, gap_bound, *(-hb for hb, *_ in heap))
     gap = 0.0 if ub == lb else (ub - lb) / ub * 100.0 if ub > 0 else math.inf
     objective = lb if best_x is not None else math.nan
+    status = status if at_most(ub, objective) else "limit"  # gap_tol may stop short of a proof
     rg = math.nan
     if best_x is not None and objective > 0 and not math.isnan(root_bound):
         rg = (root_bound - objective) / objective * 100.0

@@ -9,7 +9,9 @@ it bounds the objective variable eta by
 
 Classic aggregated cuts (kind SF) are the special case where every customer
 anchors inside a common site set S; the assignment cuts (kind EF) bound eta
-through the allocation variables z instead of x.
+through the allocation variables z instead of x.  EF is the paper's extended
+formulation of GSF with the same LP bound, so the GSF separation reduction is
+the EF one at the prefix-greedy allocation (``greedy_assignment``).
 """
 
 from __future__ import annotations
@@ -130,27 +132,30 @@ def _ratio_sums(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def gsf_separation_costs(inst: Instance, xstar) -> RMedianInstance:
-    """r-median reduction of the exact anchor-cut separation at xstar.
-
-    For each customer the prefix sites (descending v, mass below one) keep
-    their fractional weights and the remaining unit mass sits on the first
-    site past the prefix; the cost against follower site k prices both
-    against v[i, k].  The virtual site carries v = 0, so the remainder term
-    vanishes when the prefix spans the whole row.
-    """
+def greedy_assignment(inst: Instance, x) -> np.ndarray:
+    """Prefix-greedy allocation for leader vector x: each customer's unit
+    prefix of sites (``_prefix_lengths``) keeps its x mass and the next site
+    takes the rest of one, capped at its own mass (giving it the whole rest
+    differs only where a prefix's mass lands within ``UNIT_SLACK`` of one).
+    Optimal for every follower choice at once; one-hot for integral x."""
     sigma = inst.sigma
-    xs = np.asarray(xstar, dtype=float).clip(0.0, 1.0)[sigma]  # masses in descending-v order
-    vs = np.take_along_axis(inst.v, sigma, axis=1)
+    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)[sigma]  # masses in descending-v order
     lengths = _prefix_lengths(xs)
-    q = int(lengths.max())  # only the first q sorted sites can be in a prefix
-    xpre = np.where(np.arange(q) < lengths[:, None], xs[:, :q], 0.0)
-    rest = np.maximum(1.0 - xpre.sum(axis=1), 0.0)
-    vnext = np.zeros(inst.m)
-    inside = lengths < inst.n
-    vnext[inside] = vs[inside, lengths[inside]]
-    b = (rest * vnext)[:, None] / (vnext[:, None] + inst.v) + _ratio_sums(xpre * vs[:, :q], vs[:, :q], inst.v)
-    return RMedianInstance(cost=b, w=inst.w, r=inst.r)
+    zs = np.where(np.arange(inst.n) < lengths[:, None], xs, 0.0)
+    rows = (lengths < inst.n).nonzero()[0]
+    nxt = lengths[rows]
+    rest = 1.0 - xs.cumsum(axis=1)[rows, nxt - 1]  # in-order sums, as a walk would take them
+    zs[rows, nxt] = np.minimum(xs[rows, nxt], rest)
+    z = np.empty_like(zs)
+    np.put_along_axis(z, sigma, zs, axis=1)
+    return z
+
+
+def gsf_separation_costs(inst: Instance, xstar) -> RMedianInstance:
+    """r-median reduction of the exact anchor-cut separation at xstar: the
+    assignment-cut reduction at its greedy allocation, which attains the
+    deepest anchor cut for every follower choice at once."""
+    return ef_separation_costs(inst, greedy_assignment(inst, xstar))
 
 
 def ef_cut(inst: Instance, y, cy: np.ndarray | None = None) -> Cut:

@@ -28,7 +28,7 @@ class InstanceError(ValueError):
     """Malformed instance file or invalid instance data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality and hash: fields w and v are arrays
 class Instance:
     """SCFLP instance: m customers, n candidate sites, demand weights w,
     attractiveness matrix v, leader cardinality p, follower cardinality r."""

@@ -76,13 +76,16 @@ def response_costs(inst: Instance, x) -> RMedianInstance:
 
     With c_i = max over open leader sites of v[i, j], the follower facing
     cost a[i, k] = c_i / (c_i + v[i, k]) keeps the leader share at
-    sum_i w_i min over open follower sites of a[i, k].
+    sum_i w_i min over open follower sites of a[i, k].  a is taken as
+    c_i * (1 / (c_i + v[i, k])): the bits of ``cuts.ef_separation_costs`` at
+    x's one-hot greedy allocation, so a separation solve can serve as the
+    best response (spelled out here because ``cuts`` imports this module).
     """
     xs = open_sites(x)
     if xs.size == 0:
         raise ValueError("leader choice must open at least one site")
     ci = inst.v[:, xs].max(axis=1)
-    a = ci[:, None] / (ci[:, None] + inst.v)
+    a = ci[:, None] * (1.0 / (ci[:, None] + inst.v))
     return RMedianInstance(cost=a, w=inst.w, r=inst.r)
 
 

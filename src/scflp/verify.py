@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnc import add_cut_row, add_eta_row, add_linking_rows
-from .cuts import _prefix_lengths, ef_cut, gsf_separation_costs, improved_cut, tight_ell
+from .cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut, tight_ell
 from .instance import Instance
 from .lp import LpModel, lp_solve
 from .market import compute_cy, indicator, open_sites, share_of_set
@@ -149,24 +149,6 @@ def verify_prop61(inst: Instance, xstar, y) -> float:
     ys = open_sites(y)
     reduced = float(inst.w @ rm.cost[:, ys].min(axis=1))
     return abs(best - reduced)
-
-
-def greedy_assignment(inst: Instance, x) -> np.ndarray:
-    """Prefix-greedy allocation for leader vector x, as the GSF separation
-    prices it: each customer's unit prefix of sites (``cuts._prefix_lengths``)
-    keeps its x mass, and the next site takes what is left of one, up to its
-    own mass.  Optimal for every follower choice at once, integral for integral x."""
-    sigma = inst.sigma
-    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)[sigma]  # masses in descending-v order
-    lengths = _prefix_lengths(xs)
-    zs = np.where(np.arange(inst.n) < lengths[:, None], xs, 0.0)
-    rows = (lengths < inst.n).nonzero()[0]
-    nxt = lengths[rows]
-    rest = 1.0 - xs.cumsum(axis=1)[rows, nxt - 1]  # in-order sums, as a walk would take them
-    zs[rows, nxt] = np.minimum(xs[rows, nxt], rest)
-    z = np.empty_like(zs)
-    np.put_along_axis(z, sigma, zs, axis=1)
-    return z
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ from scflp.cuts import (
     _prefix_lengths,
     ef_cut,
     ef_separation_costs,
+    greedy_assignment,
     gsf_separation_costs,
     improved_cut,
     submodular_cut,
     tight_ell,
 )
-from scflp.market import indicator, share_of_set
+from scflp.market import indicator, response_costs, share_of_set
 from scflp.rmedian import set_value
 
 from conftest import golden_instance, random_choice, random_instance
@@ -207,6 +208,21 @@ def test_blocked_separation_costs_match_per_customer_loop():
             np.testing.assert_allclose(ef_separation_costs(inst, zz).cost, _ef_costs_per_customer(inst, zz), rtol=1e-12, atol=0)
 
 
+def test_all_cost_matrices_share_bits_at_integral_points():
+    """At an integral leader choice the best-response costs, the GSF
+    separation costs and the EF costs at the greedy allocation are one
+    expression, equal bit for bit, so a separation solve can stand in for
+    the best response (qi's integer coordinates give tied attractiveness)."""
+    rng = np.random.default_rng(97)
+    for k in range(400):
+        m, n = (int(t) for t in rng.integers(1, 61, size=2))
+        inst = generate_instance(GeneratorParams(("biesinger", "qi")[k % 2], m=m, n=n, p=1, r=1, seed=k))
+        x = random_choice(rng, n, int(rng.integers(1, n + 1)))
+        best = response_costs(inst, x).cost
+        assert np.array_equal(gsf_separation_costs(inst, x).cost, best)
+        assert np.array_equal(ef_separation_costs(inst, greedy_assignment(inst, x)).cost, best)
+
+
 def test_separation_cost_kernels_peak_memory_at_n100():
     inst = generate_instance(GeneratorParams("biesinger", m=100, n=100, p=2, r=3, seed=1))
     x = np.full(100, 0.005)  # every prefix spans the whole row: the widest blocks
@@ -238,8 +254,6 @@ def test_ef_cut_scales_with_weight():
 
 
 def test_ef_cut_with_greedy_assignment_recovers_share():
-    from scflp.verify import greedy_assignment
-
     rng = np.random.default_rng(23)
     for _ in range(100):
         inst = random_instance(rng, m=3, n=4)

@@ -143,3 +143,13 @@ def test_instance_keeps_private_frozen_copies():
     for arr in (inst.w, inst.v):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 9.0
+
+
+def test_instances_compare_by_identity():
+    """Equality and hash are by identity: comparing the array fields of two
+    instances by value has no single truth value."""
+    a = generate_instance(GeneratorParams("biesinger", m=4, n=4, p=2, r=2, seed=3))
+    b = generate_instance(GeneratorParams("biesinger", m=4, n=4, p=2, r=2, seed=3))
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, b}) == 2

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from scflp import compute_cy, follower_best_response, leader_share
-from scflp.cuts import improved_cut, submodular_cut, tight_ell
+from scflp.cuts import greedy_assignment, improved_cut, submodular_cut, tight_ell
 from scflp.market import indicator
 from scflp.separation import FollowerPool, RelaxPoint, is_integral, separate_ef, separate_gsf, separate_sf
-from scflp.verify import greedy_assignment
 
 from conftest import random_choice, random_instance
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from scflp import Instance, compute_cy
-from scflp.cuts import ef_cut, gsf_separation_costs, improved_cut
+from scflp.cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut
 from scflp.market import open_sites
 from scflp.rmedian import CapExceededError
 from scflp.verify import (
     _anchor_polytope,
     _assignment_polytope,
     _support,
-    greedy_assignment,
     verify_aggregation,
     verify_hull,
     verify_prop61,
