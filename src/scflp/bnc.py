@@ -192,19 +192,19 @@ class _Search:
 
     def cut_loop(self, is_root: bool, lb: float):
         """Solve-separate at the current bounds until certified, out of
-        fractional rounds, dominated, or infeasible.
+        fractional rounds, or dominated.
 
         Returns (outcome, objective, point) where outcome is one of
-        "certified", "branch", "round_cap", "dominated", "infeasible",
-        "timeout"; after "certified" and "branch" separation found nothing
-        fresh at the point, after "round_cap" it had just added cuts.
+        "certified", "branch", "round_cap", "dominated", "timeout"; after
+        "certified" and "branch" separation found nothing fresh at the
+        point, after "round_cap" it had just added cuts.  Every node's LP
+        is feasible (the leader fixings leave p sites open), so an LP
+        status other than "optimal" raises RuntimeError.
         """
         cap = ROOT_SEP_ROUNDS if is_root else SEP_ROUNDS
         frac_rounds = 0
         while True:
             res = lp_solve(self.model)
-            if res.status == "infeasible":
-                return "infeasible", -math.inf, None
             if res.status != "optimal":
                 raise RuntimeError(f"LP failure: {res.status} ({res.message})")
             obj = res.objective
@@ -295,14 +295,14 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         outcome, obj, pt = search.cut_loop(is_root, lb)
 
         if is_root:
-            root_bound = obj if outcome != "infeasible" else math.nan
+            root_bound = obj
         _emit(
             events,
             {
                 "event": "node",
                 "processed": processed,
                 "outcome": outcome,
-                "bound": None if obj == -math.inf else obj,
+                "bound": obj,
                 "incumbent": None if lb == -math.inf else lb,
                 "open": len(heap),
                 "cuts": search.cuts,
@@ -311,7 +311,6 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
 
         if outcome == "dominated":
             gap_bound = _gap_pruned(gap_bound, obj, lb)
-        if outcome in ("infeasible", "dominated"):
             continue
         if outcome == "timeout":
             heapq.heappush(heap, (-obj, next(counter), fix0, fix1))
@@ -364,7 +363,5 @@ def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float):
         val = _exact_value(inst, x)
         return val, 0.0
     search = _Search(inst, cfg)
-    outcome, obj, _ = search.cut_loop(is_root=True, lb=-math.inf)
-    if outcome == "infeasible":
-        raise RuntimeError("root relaxation infeasible")
+    _, obj, _ = search.cut_loop(is_root=True, lb=-math.inf)
     return obj, (obj - true_opt) / true_opt * 100.0

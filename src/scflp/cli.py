@@ -174,6 +174,8 @@ def _cmd_verify(args) -> int:
         return _usage_error(f"bad check list {args.checks!r}")
     if args.trials < 1:
         return _usage_error(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        return _usage_error(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     lines = []
     ok = True

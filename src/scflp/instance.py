@@ -98,6 +98,8 @@ class GeneratorParams:
     def __post_init__(self):
         if self.style not in ("biesinger", "qi"):
             raise InstanceError(f"unknown generator style {self.style!r}")
+        if self.seed < 0:
+            raise InstanceError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _tokenize(text: str):

@@ -1,14 +1,17 @@
 """Separation oracles for the three cut families.
 
-Each oracle takes the current relaxation point, tries cheap heuristics
-against a pool of previously optimal follower responses, and falls back to
-an exact r-median solve (for the classic cuts, only at integral points).
-Pool scans and exact passes at fractional points keep cuts violated by more
-than ``eps``, so an empty exact return certifies that no inequality of the
-family is violated by more than that.  At an integral point
-(``RelaxPoint.integral``) the exact pass keeps its cut unless eta is at most
-its value there up to the certification slack (``tolerances.at_most``): an
-empty return certifies the point at its exact best-response value.
+The classic (SF), anchor (GSF) and assignment (EF) cuts are separated by
+one pass (``_separate``) that differs only in the family's cut builder and
+r-median costs.  The pass first scans a pool of previously optimal follower
+responses; when no member's cut is violated it solves the family's
+separation r-median exactly (SF only at integral points), started from the
+pool's members, and adds the argmin to the pool.  Pool scans and exact
+passes at fractional points keep cuts violated by more than ``eps``, so an
+empty exact return certifies that no inequality of the family is violated
+by more than that.  At an integral point (``RelaxPoint.integral``) the exact
+pass keeps its cut unless eta is at most its value there up to the
+certification slack (``tolerances.at_most``): an empty return certifies the
+point at its exact best-response value.
 """
 
 from __future__ import annotations
@@ -91,98 +94,67 @@ def _violated(cut: Cut, pt: RelaxPoint, eps: float) -> bool:
     return pt.eta > cut.rhs_at(pt.x, pt.z) + eps
 
 
-def _exact_verdict(cut: Cut, pt: RelaxPoint, eps: float) -> list[Cut]:
-    """[cut] if the exact pass's cut is violated at pt (see the module docstring), else []."""
-    if pt.integral:
-        return [] if at_most(pt.eta, cut.rhs_at(pt.x, pt.z)) else [cut]
-    return [cut] if _violated(cut, pt, eps) else []
-
-
 def is_integral(x) -> bool:
     x = np.asarray(x)
     return bool((np.abs(x - x.round()) <= INT_TOL).all())
 
 
-def _exact(rm: RMedianInstance, pool: FollowerPool | None):
-    """Exact r-median solve of a separation problem, started from the pool's
-    members and recorded on the pool."""
-    sites, value, status = rmedian_solve(rm, start=pool.sites() if pool is not None else ())
+def _separate(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float, cut_for, costs) -> list[Cut]:
+    """The one separation pass: cut_for(y, cy) builds a family's cut for
+    follower choice y (cy its capture matrix, or None), and costs, when not
+    None, returns the exact separation r-median at pt.  Pool cuts violated
+    by more than eps are returned; with none, the exact argmin joins the
+    pool, its solve is recorded, and its cut is kept by the module
+    docstring's rule."""
+    hits = [cut for cut in (cut_for(y, cy) for y, cy in pool.scan(inst)) if _violated(cut, pt, eps)]
+    if hits or costs is None:
+        return hits
+    rm = costs()
+    sites, value, status = rmedian_solve(rm, start=pool.sites())
     if status != "optimal":
         raise RuntimeError("exact separation hit the r-median limit")
-    if pool is not None:
-        pool.last_solve = (rm, sites, value)
-    return sites, value
+    pool.last_solve = (rm, sites, value)
+    y_star = indicator(inst.n, sites)
+    pool.add(y_star)
+    cut = cut_for(y_star, None)
+    if pt.integral:
+        return [] if at_most(pt.eta, cut.rhs_at(pt.x, pt.z)) else [cut]
+    return [cut] if _violated(cut, pt, eps) else []
 
 
-def separate_sf(
-    pt: RelaxPoint,
-    inst: Instance,
-    pool: FollowerPool,
-    eps: float = EPS_VIOL,
-) -> list[Cut]:
+def separate_sf(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
     """Classic-cut separation.
 
-    Cuts are built at the rounded point (ties round up) for pool members and
-    returned when violated at x.  At an integral x (``pt.integral``) an
-    empty scan falls back to an exact best-response r-median whose argmin
-    joins the pool; an empty return then certifies the point.  At a
-    fractional x no exactness is claimed.
+    Cuts are built at the rounded point (ties round up) and returned when
+    violated at x.  Only an integral x (``pt.integral``) has an exact pass,
+    on the follower's best-response costs; an empty return then certifies
+    the point.  At a fractional x only the pool is scanned and no exactness
+    is claimed.
     """
     if pt.z is not None:
         raise ValueError("classic separation takes points without allocations")
-    rounded = np.floor(np.asarray(pt.x) + 0.5)  # ties at .5 round up
-    support = (rounded > 0.5).nonzero()[0].tolist()
-    hits = []
-    for y, cy in pool.scan(inst):
-        cut = submodular_cut(inst, y, support, cy)
-        if _violated(cut, pt, eps):
-            hits.append(cut)
-    if hits or not pt.integral:
-        return hits
-    sites, _ = _exact(response_costs(inst, pt.x), pool)
-    y_star = indicator(inst.n, sites)
-    pool.add(y_star)
-    return _exact_verdict(submodular_cut(inst, y_star, support), pt, eps)
+    support = np.flatnonzero(np.floor(np.asarray(pt.x) + 0.5) > 0.5).tolist()  # ties at .5 round up
+    costs = (lambda: response_costs(inst, pt.x)) if pt.integral else None
+    return _separate(pt, inst, pool, eps, lambda y, cy: submodular_cut(inst, y, support, cy), costs)
 
 
-def separate_gsf(
-    pt: RelaxPoint,
-    inst: Instance,
-    pool: FollowerPool,
-    eps: float = EPS_VIOL,
-) -> list[Cut]:
+def separate_gsf(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
     """Anchor-cut separation, exact at arbitrary points.
 
-    The deepest anchor vector at x is follower independent, so the pool scan
-    prices each member's cut directly; the exact pass solves the r-median on
-    the anchor-reduction costs and certifies the point when its cut for the
-    argmin follower choice is unviolated.
+    The deepest anchor vector at x is follower independent, so every cut,
+    pool member's or argmin's, is the anchor cut at ``tight_ell``; the exact
+    pass solves the r-median on the anchor-reduction costs.
     """
     if pt.z is not None:
         raise ValueError("anchor separation takes points without allocations")
     ell = tight_ell(inst, pt.x)
-    hits = []
-    for y, cy in pool.scan(inst):
-        cut = improved_cut(inst, y, ell, cy)
-        if _violated(cut, pt, eps):
-            hits.append(cut)
-    if hits:
-        return hits
-    sites, _ = _exact(gsf_separation_costs(inst, pt.x), pool)
-    y_star = indicator(inst.n, sites)
-    pool.add(y_star)
-    return _exact_verdict(improved_cut(inst, y_star, ell), pt, eps)
+    return _separate(pt, inst, pool, eps, lambda y, cy: improved_cut(inst, y, ell, cy), lambda: gsf_separation_costs(inst, pt.x))
 
 
-def separate_ef(
-    pt: RelaxPoint,
-    inst: Instance,
-    pool: FollowerPool | None = None,
-    eps: float = EPS_VIOL,
-) -> list[Cut]:
-    """Assignment-cut separation; always exact, no heuristic path.  A given
-    pool only records the exact solve (``FollowerPool.last_solve``)."""
+def separate_ef(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
+    """Assignment-cut separation, exact at arbitrary points: cuts bound eta
+    through the allocations z, and the exact pass solves the r-median on
+    the costs at z."""
     if pt.z is None:
         raise ValueError("assignment separation needs allocations")
-    sites, _ = _exact(ef_separation_costs(inst, pt.z), pool)
-    return _exact_verdict(ef_cut(inst, indicator(inst.n, sites)), pt, eps)
+    return _separate(pt, inst, pool, eps, lambda y, cy: ef_cut(inst, y, cy), lambda: ef_separation_costs(inst, pt.z))

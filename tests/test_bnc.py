@@ -10,7 +10,7 @@ import pytest
 from scflp import BncConfig, GeneratorParams, bnc, brute_force_solve, follower_best_response, generate_instance, root_relaxation, solve
 from scflp.bnc import _Search, add_cut_row, build_model
 from scflp.cuts import ef_cut, greedy_assignment
-from scflp.lp import LpModel, lp_solve
+from scflp.lp import LpModel, LpResult, lp_solve
 from scflp.market import indicator, leader_share
 from scflp.separation import RelaxPoint
 
@@ -277,3 +277,24 @@ def test_reused_best_response_equals_follower_best_response(monkeypatch):
                 y_ref, val_ref = original(inst, x, mode="rmedian")
                 assert np.array_equal(y, y_ref) and val == val_ref
                 assert not calls or not at_own_point
+
+
+@pytest.mark.parametrize("bad_call", [9, 10, 13])
+def test_a_spurious_infeasible_lp_verdict_raises(monkeypatch, bad_call):
+    """Every node's LP is feasible, so an "infeasible" verdict is numerical
+    trouble, not a pruned node.  On biesinger m=n=12, p=3, r=2, seed 3 with
+    SF, treating the verdict of one of these LP calls as a prune would
+    report status "optimal" with objective 32.770026, below the optimum
+    32.799722; the cut loop raises instead."""
+    inst = generate_instance(GeneratorParams("biesinger", m=12, n=12, p=3, r=2, seed=3))
+    calls = itertools.count(1)
+    original = bnc.lp_solve
+
+    def flaky(model):
+        if next(calls) == bad_call:
+            return LpResult("infeasible", math.nan, None, math.inf, "Infeasible")
+        return original(model)
+
+    monkeypatch.setattr(bnc, "lp_solve", flaky)
+    with pytest.raises(RuntimeError, match="LP failure: infeasible"):
+        solve(inst, BncConfig(formulation="SF"))

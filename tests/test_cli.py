@@ -232,3 +232,14 @@ def test_bench_refuses_empty_lists_and_workers_below_one(tmp_path, capsys):
 def test_verify_refuses_trials_below_one(golden_file, capsys):
     for trials in ("0", "-3"):
         assert "--trials" in _refusal(["verify", "--in", golden_file, "--trials", trials], capsys)
+
+
+@pytest.mark.parametrize("command", ["generate", "bench", "verify"])
+def test_negative_seed_exits_2(command, golden_file, tmp_path, capsys):
+    """A seed below 0 is refused with one error line, not a traceback."""
+    argv = {
+        "generate": ["generate", "--m", "3", "--n", "3", "--p", "1", "--r", "1", "--seed", "-1"],
+        "bench": ["bench", "--m", "4", "--n", "4", "--p", "2", "--r", "2", "--seed", "-5", "--out", str(tmp_path / "b.csv")],
+        "verify": ["verify", "--in", golden_file, "--seed", "-2"],
+    }[command]
+    assert "seed" in _refusal(argv, capsys)

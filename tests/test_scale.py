@@ -1,4 +1,5 @@
-"""Scale rungs: biesinger and qi m=n=400 solved with GSF.
+"""Scale rungs: biesinger and qi m=n=400 solved with GSF, and m=n=200 with
+EF, whose separation r-medians start from the pool's members.
 
 Deselected by default (see pyproject.toml); run them with
 
@@ -18,6 +19,12 @@ RUNGS = {
     ("qi", 10, 5): 1368.4028146933993,
 }
 
+# m=n=200, p=10, r=5: style -> optimum (GSF proves the same values)
+EF_RUNGS = {
+    "biesinger": 665.2602266891104,
+    "qi": 660.8872113060747,
+}
+
 
 @pytest.mark.scale
 @pytest.mark.parametrize("style, p, r", RUNGS, ids=[f"{s}-p{p}r{r}" for s, p, r in RUNGS])
@@ -26,3 +33,12 @@ def test_gsf_at_m_n_400_is_optimal(style, p, r):
     rep = solve(inst, BncConfig(formulation="GSF", time_limit=60))
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(RUNGS[style, p, r], abs=1e-6)
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("style", EF_RUNGS)
+def test_ef_at_m_n_200_is_optimal(style):
+    inst = generate_instance(GeneratorParams(style, m=200, n=200, p=10, r=5, seed=1))
+    rep = solve(inst, BncConfig(formulation="EF", time_limit=60))
+    assert rep.status == "optimal"
+    assert rep.objective == pytest.approx(EF_RUNGS[style], abs=1e-6)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from scflp import compute_cy, follower_best_response, leader_share
-from scflp.cuts import greedy_assignment, improved_cut, submodular_cut, tight_ell
+from scflp import separation
+from scflp.cuts import ef_cut, greedy_assignment, improved_cut, submodular_cut, tight_ell
 from scflp.market import indicator
 from scflp.separation import FollowerPool, RelaxPoint, is_integral, separate_ef, separate_gsf, separate_sf
 
@@ -97,7 +98,7 @@ def test_gsf_pool_hit_skips_exact(golden):
 
 def test_ef_zero_assignment_violated(golden):
     pt = RelaxPoint(eta=0.5, x=np.array([1.0, 1.0, 0.0]), z=np.zeros((3, 3)))
-    cuts = separate_ef(pt, golden)
+    cuts = separate_ef(pt, golden, FollowerPool())
     assert len(cuts) == 1 and cuts[0].kind == "EF"
 
 
@@ -105,7 +106,7 @@ def test_ef_certifies_optimal_point(golden):
     x = np.array([1.0, 1.0, 0.0])
     z = greedy_assignment(golden, x)
     pt = RelaxPoint(eta=4 / 3, x=x, z=z)
-    assert separate_ef(pt, golden) == []
+    assert separate_ef(pt, golden, FollowerPool()) == []
 
 
 def test_ef_exactness_against_enumeration():
@@ -118,8 +119,29 @@ def test_ef_exactness_against_enumeration():
             for combo in itertools.combinations(range(5), 2)
         )
         # barely feasible: certified; clearly infeasible: cut returned
-        assert separate_ef(RelaxPoint(eta=best - 1e-9, x=np.zeros(5), z=z), inst) == []
-        assert len(separate_ef(RelaxPoint(eta=best + 1e-3, x=np.zeros(5), z=z), inst)) == 1
+        assert separate_ef(RelaxPoint(eta=best - 1e-9, x=np.zeros(5), z=z), inst, FollowerPool()) == []
+        assert len(separate_ef(RelaxPoint(eta=best + 1e-3, x=np.zeros(5), z=z), inst, FollowerPool())) == 1
+
+
+def test_ef_separation_uses_the_pool(monkeypatch):
+    """EF's exact argmin joins the pool and its solve is recorded, like SF's
+    and GSF's; a later point that violates that member's cut is answered by
+    the pool scan without an r-median solve."""
+    rng = np.random.default_rng(47)
+    inst = random_instance(rng, m=4, n=6, p=2, r=2)
+    solves = []
+    original = separation.rmedian_solve
+    monkeypatch.setattr(separation, "rmedian_solve", lambda *a, **k: solves.append(1) or original(*a, **k))
+    pool = FollowerPool()
+    x = np.full(6, 1 / 3)  # with z <= 1/6: a point of the EF relaxation
+    cuts = separate_ef(RelaxPoint(eta=inst.total_demand, x=x, z=rng.uniform(0.0, 1 / 6, size=(4, 6))), inst, pool)
+    assert len(cuts) == 1 and len(solves) == 1 and len(pool) == 1
+    y_star = next(iter(pool))
+    assert tuple(pool.last_solve[1]) == tuple(np.flatnonzero(y_star))
+    assert cuts[0].provenance == ef_cut(inst, y_star).provenance
+    again = separate_ef(RelaxPoint(eta=inst.total_demand, x=x, z=rng.uniform(0.0, 1 / 6, size=(4, 6))), inst, pool)
+    assert len(solves) == 1 and len(pool) == 1
+    assert len(again) == 1 and again[0].provenance == cuts[0].provenance
 
 
 def test_exactness_at_integral_points_all_families():
