@@ -110,6 +110,33 @@ def tight_ell(inst: Instance, xstar) -> np.ndarray:
     return ell
 
 
+def deepest_prefix(inst: Instance, c: np.ndarray, order: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Site set of the classic cut for capture matrix c that is deepest at
+    a point with masses xs > 0 on the sites order (its support, by
+    descending mass): the prefix S_k = order[:k], k in 0..q, whose cut has
+    the smallest right-hand side at the point, smallest k on ties.
+
+    Every right-hand side is scored at once: with b_k the row maxima of c
+    over S_k (0 for k = 0), the cut's value at the point is
+    sum_i w_i (b_k,i + sum_t xs_t (c[i, order_t] - b_k,i)^+); sites inside
+    S_k add nothing to the inner sum, and sites off the support carry no
+    mass.  Customers go in blocks whose (block, q + 1, q) temporary takes
+    about _BLOCK_BYTES."""
+    q = order.size
+    cs = c[:, order]
+    value = np.zeros((inst.m, q + 1))  # b_k per customer, then the cut's value per customer
+    np.maximum.accumulate(cs, axis=1, out=value[:, 1:])
+    step = max(1, _BLOCK_BYTES // (8 * (q + 1) * max(q, 1)))
+    buf = np.empty((min(step, inst.m), q + 1, q))
+    for s in range(0, inst.m, step):
+        e = min(s + step, inst.m)
+        gain = buf[: e - s]
+        np.subtract(cs[s:e, None, :], value[s:e, :, None], out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        value[s:e] += gain @ xs
+    return order[: int((inst.w @ value).argmin())]
+
+
 def _ratio_sums(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """out[i, k] = sum_j a[i, j] / (u[i, j] + v[i, k]) for (m, q) arrays a
     and u and an (m, n) array v.  Columns where a is all zero add nothing

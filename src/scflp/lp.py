@@ -96,13 +96,6 @@ _OPTIONS = {"output_flag": False, "threads": 1, "solver": "simplex", "simplex_st
 _SENSES = ("<=", ">=", "=")
 
 
-@dataclass
-class LpRow:
-    coef: dict[int, float]
-    sense: str  # "<=", ">=", "="
-    rhs: float
-
-
 class LpModel:
     """Dense-column maximization LP with mutable variable bounds."""
 
@@ -151,20 +144,6 @@ class LpModel:
     @property
     def nrows(self) -> int:
         return self._nrows
-
-    @property
-    def rows(self) -> list[LpRow]:
-        """The rows as records, built from the row store on each access."""
-        start = self._start[: self._nrows + 1].tolist()
-        index = self._index[: self._nnz].tolist()
-        value = self._value[: self._nnz].tolist()
-        out = []
-        n = self._nrows
-        for k, (lo, hi) in enumerate(zip(self._row_lo[:n].tolist(), self._row_hi[:n].tolist())):
-            sense, rhs = ("<=", hi) if lo == -np.inf else (">=", lo) if hi == np.inf else ("=", lo)
-            s, e = start[k], start[k + 1]
-            out.append(LpRow(dict(zip(index[s:e], value[s:e])), sense, rhs))
-        return out
 
     def add_row(self, coef: dict[int, float], sense: str, rhs: float) -> int:
         """Append one row given as a {column: coefficient} dict.  Returns

@@ -5,7 +5,10 @@ one pass (``_separate``) that differs only in the family's cut builder and
 r-median costs.  The pass first scans a pool of previously optimal follower
 responses; when no member's cut is violated it solves the family's
 separation r-median exactly (SF only at integral points), started from the
-pool's members, and adds the argmin to the pool.  Pool scans and exact
+pool's members, and adds the argmin to the pool.  At a fractional point
+SF's cut for a member is the classic cut deepest at the point over the
+prefix sets of its support (``cuts.deepest_prefix``); SF's fractional pass
+is pool-only and claims no exactness.  Pool scans and exact
 passes at fractional points keep cuts violated by more than ``eps``, so an
 empty exact return certifies that no inequality of the family is violated
 by more than that.  At an integral point (``RelaxPoint.integral``) the exact
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cuts import Cut, ef_cut, ef_separation_costs, gsf_separation_costs, improved_cut, submodular_cut, tight_ell
+from .cuts import Cut, deepest_prefix, ef_cut, ef_separation_costs, gsf_separation_costs, improved_cut, submodular_cut, tight_ell
 from .instance import Instance
 from .market import compute_cy, indicator, open_sites, response_costs
 from .rmedian import RMedianInstance, rmedian_solve
@@ -125,17 +128,26 @@ def _separate(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float, cu
 def separate_sf(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
     """Classic-cut separation.
 
-    Cuts are built at the rounded point (ties round up) and returned when
-    violated at x.  Only an integral x (``pt.integral``) has an exact pass,
-    on the follower's best-response costs; an empty return then certifies
-    the point.  At a fractional x only the pool is scanned and no exactness
-    is claimed.
+    At an integral x (``pt.integral``) each cut is built at the rounded
+    point, the open set, and an exact pass on the follower's best-response
+    costs follows an empty pool scan; an empty return then certifies the
+    point.  At a fractional x only the pool is scanned and no exactness is
+    claimed: each member's cut is the deepest at x over the prefixes of the
+    LP support (``deepest_prefix``: sites with x > 0 by descending x, ties
+    by index), which include the rounded point's support, and is returned
+    when violated at x.
     """
     if pt.z is not None:
         raise ValueError("classic separation takes points without allocations")
-    support = np.flatnonzero(np.floor(np.asarray(pt.x) + 0.5) > 0.5).tolist()  # ties at .5 round up
-    costs = (lambda: response_costs(inst, pt.x)) if pt.integral else None
-    return _separate(pt, inst, pool, eps, lambda y, cy: submodular_cut(inst, y, support, cy), costs)
+    x = np.asarray(pt.x)
+    if pt.integral:
+        support = (np.floor(x + 0.5) > 0.5).nonzero()[0].tolist()  # the open set
+        return _separate(pt, inst, pool, eps, lambda y, cy: submodular_cut(inst, y, support, cy), lambda: response_costs(inst, x))
+    cols = (x > 0.0).nonzero()[0]
+    order = cols[np.argsort(-x[cols], kind="stable")]  # descending x, ties by index
+    xs = x[order]
+    # no exact pass here, so cy is always a pool member's capture matrix
+    return _separate(pt, inst, pool, eps, lambda y, cy: submodular_cut(inst, y, deepest_prefix(inst, cy, order, xs), cy), None)
 
 
 def separate_gsf(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:

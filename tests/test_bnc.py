@@ -15,6 +15,7 @@ from scflp.market import indicator, leader_share
 from scflp.separation import RelaxPoint
 
 from conftest import random_choice, random_instance
+from lp_rows import lp_rows
 
 TIE_CLASS = {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
@@ -212,7 +213,7 @@ def test_gap_tolerance_terminates_early():
 
 
 def _row_records(model):
-    return [(r.sense, r.rhs, list(r.coef.items())) for r in model.rows]
+    return [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(model)]
 
 
 def test_bulk_ef_model_matches_per_row_reference(golden):

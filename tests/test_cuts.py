@@ -9,6 +9,7 @@ from scflp.cuts import (
     _BLOCK_BYTES,
     _key,
     _prefix_lengths,
+    deepest_prefix,
     ef_cut,
     ef_separation_costs,
     greedy_assignment,
@@ -206,6 +207,35 @@ def test_blocked_separation_costs_match_per_customer_loop():
         z[:, rng.uniform(size=n) < 0.5] = 0.0  # zero columns
         for zz in (z, np.zeros((m, n)), np.full((m, n), 1.0 / n)):
             np.testing.assert_allclose(ef_separation_costs(inst, zz).cost, _ef_costs_per_customer(inst, zz), rtol=1e-12, atol=0)
+
+
+def test_deepest_prefix_across_customer_blocks_matches_brute_force():
+    """The deepest prefix is the first prefix of the support, by descending
+    mass, whose classic cut has the smallest value at the point (brute
+    force through submodular_cut), at sizes on both sides of a block
+    boundary, with the last customer, in the last block, weighing most;
+    at m = n = 100 with a full support its temporaries stay under 2 MB."""
+    step = _BLOCK_BYTES // (8 * 101 * 100)  # customers per block when q = 100
+    rng = np.random.default_rng(89)
+    for m in (1, step, step + 1, 2 * step + 1, 100):
+        w = rng.integers(1, 11, size=m).astype(float)
+        w[-1] = 1000.0
+        inst = Instance(m=m, n=100, w=w, v=rng.uniform(0.1, 3.0, size=(m, 100)), p=1, r=3)
+        y = random_choice(rng, 100, 3)
+        cy = compute_cy(inst, y)
+        x = rng.uniform(0.0, 1.0, size=100) * 0.05
+        order = np.argsort(-x, kind="stable")
+        values = [submodular_cut(inst, y, order[:k], cy).rhs_at(x) for k in range(101)]
+        low = min(values)
+        k = next(k for k, value in enumerate(values) if value <= low + 1e-12 * max(1.0, abs(low)))
+        assert np.array_equal(deepest_prefix(inst, cy, order, x[order]), order[:k])
+    tracemalloc.start()
+    try:
+        deepest_prefix(inst, cy, order, x[order])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_all_cost_matrices_share_bits_at_integral_points():

@@ -10,6 +10,7 @@ from scflp.cuts import ef_cut, improved_cut, submodular_cut
 from scflp.lp import LpModel, lp_solve
 
 from conftest import golden_instance
+from lp_rows import lp_rows
 from tableau_simplex import tableau_simplex_max
 from test_cuts import GOLDEN_GSF, Y_ALL
 
@@ -77,7 +78,7 @@ def _linprog_reference(model: LpModel):
     """Status and objective of the model's current data in a fresh solve
     by scipy's linprog."""
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for row in model.rows:
+    for row in lp_rows(model):
         a = np.zeros(model.ncols)
         for j, c in row.coef.items():
             a[j] = c
@@ -215,7 +216,7 @@ def test_gsf_model_rows_and_bounds(golden):
     model's numbers."""
     model = build_model(golden, "GSF")
     add_cut_row(model, golden, improved_cut(golden, Y_ALL, np.array([0, 1, 0])))
-    card, cut = model.rows
+    card, cut = lp_rows(model)
     assert (card.coef, card.sense, card.rhs) == ({1: 1.0, 2: 1.0, 3: 1.0}, "=", 2.0)
     assert (model.lower[0], model.upper[0]) == (-np.inf, 3.0)
     assert cut.sense == "<=" and cut.rhs == pytest.approx(1.0, rel=1e-12)
@@ -225,7 +226,7 @@ def test_gsf_model_rows_and_bounds(golden):
 def _row_records(model: LpModel):
     """Rows with their coefficients in stored order (LpRow equality would
     ignore the order of a dict)."""
-    return [(r.sense, r.rhs, list(r.coef.items())) for r in model.rows]
+    return [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(model)]
 
 
 def test_add_rows_matches_add_row_loop():
@@ -277,8 +278,8 @@ def test_add_rows_matches_add_row_loop():
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.x, b.x)
-    assert bulk.rows[5].coef == {}
-    assert all(c != 0.0 for row in bulk.rows for c in row.coef.values())
+    assert lp_rows(bulk)[5].coef == {}
+    assert all(c != 0.0 for row in lp_rows(bulk) for c in row.coef.values())
 
 
 def test_add_rows_validates_like_add_row():
@@ -292,7 +293,7 @@ def test_add_rows_validates_like_add_row():
     with pytest.raises(ValueError, match="malformed"):
         model.add_rows((0, 3), (0, 1), (1.0, 1.0), "<=", 1.0)
     model.add_row({0: 1.0, 7: 0.0}, "<=", 1.0)  # a zero on a bad column is dropped, as before
-    assert model.nrows == 1 and model.rows[0].coef == {0: 1.0}
+    assert model.nrows == 1 and lp_rows(model)[0].coef == {0: 1.0}
 
 
 def test_sense_is_one_string_per_call():
@@ -331,10 +332,10 @@ def test_repeated_column_rejected_at_append():
         model.add_rows((0, 3), (0, 1, 0), (1.0, 1.0, 1.0), "<=", 1.0)
     with pytest.raises(ValueError, match=r"row 2 repeats column 2"):
         model.add_rows((0, 2, 5), (0, 1, 2, 1, 2), (1.0,) * 5, "<=", 1.0)
-    assert model.nrows == 1 and model.rows[0].coef == {0: 1.0, 1: 1.0}
+    assert model.nrows == 1 and lp_rows(model)[0].coef == {0: 1.0, 1: 1.0}
     # a repeat whose coefficient is zero is dropped before the check
     model.add_rows((0, 3), (2, 0, 2), (1.0, 1.0, 0.0), "<=", 2.0)
-    assert model.rows[1].coef == {2: 1.0, 0: 1.0}
+    assert lp_rows(model)[1].coef == {2: 1.0, 0: 1.0}
     res = lp_solve(model)
     assert res.status == "optimal" and res.objective == pytest.approx(2.5, abs=1e-12)
     ref = linprog(-model.objective, A_ub=[[1, 1, 0], [1, 0, 1]], b_ub=[1.5, 2.0], bounds=[(0, 1)] * 3, method="highs-ds")
@@ -348,7 +349,7 @@ def test_repeat_check_sees_falls_inside_rows_only():
     model = LpModel([1.0] * 4, [0.0] * 4, [1.0] * 4)
     # rows (3, 0), (), (2, 1), (3, 0, 2), () -- every fall is at a row start or inside a row without a repeat
     model.add_rows((0, 2, 2, 4, 7, 7), (3, 0, 2, 1, 3, 0, 2), (1.0,) * 7, "<=", 2.0)
-    assert [row.coef for row in model.rows] == [{3: 1.0, 0: 1.0}, {}, {2: 1.0, 1: 1.0}, {3: 1.0, 0: 1.0, 2: 1.0}, {}]
+    assert [row.coef for row in lp_rows(model)] == [{3: 1.0, 0: 1.0}, {}, {2: 1.0, 1: 1.0}, {3: 1.0, 0: 1.0, 2: 1.0}, {}]
     for indptr, index in (((0, 0, 3), (2, 1, 2)), ((0, 2, 5, 5), (3, 0, 1, 3, 1)), ((0, 2, 2, 4), (2, 3, 0, 0))):
         with pytest.raises(ValueError, match="repeats column"):
             model.add_rows(indptr, index, (1.0,) * len(index), "<=", 1.0)
@@ -383,7 +384,7 @@ def test_residual_gate_is_independent_of_highs():
     assert res.status == "iteration_limit"
     assert res.message == "residuals above tolerance"
     assert res.max_violation == pytest.approx(4.0, abs=1e-9)
-    assert model.rows[0].rhs == 1.0
+    assert lp_rows(model)[0].rhs == 1.0
 
 
 def _dict_cut_row(inst, cut) -> dict:
@@ -414,7 +415,7 @@ def test_add_cut_row_matches_dict_reference(golden):
         model = build_model(golden, form)
         k = add_cut_row(model, golden, cut)
         assert k == model.nrows - 1
-        row = model.rows[k]
+        row = lp_rows(model)[k]
         expected = _dict_cut_row(golden, cut)
         assert list(row.coef) == list(expected)
         assert list(row.coef.values()) == list(expected.values())

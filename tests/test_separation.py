@@ -50,7 +50,7 @@ def test_sf_feasible_point_certified():
     assert separate_sf(pt, inst, FollowerPool()) == []
 
 
-def test_sf_fractional_uses_rounded_support_and_pool_only(golden):
+def test_sf_fractional_takes_the_deepest_prefix_cut_and_pool_only(golden):
     pool = FollowerPool()
     # fractional point, empty pool: the heuristic has nothing to offer
     pt = RelaxPoint(eta=2.0, x=np.array([0.5, 0.5, 0.5]))
@@ -58,10 +58,61 @@ def test_sf_fractional_uses_rounded_support_and_pool_only(golden):
     assert len(pool) == 0  # no exact call at fractional points
     pool.add([1, 1, 1])
     cuts = separate_sf(pt, golden, pool)
-    # ties at one half round up: support {0,1,2}, constant 3/2, violated by 2.0
-    assert len(cuts) == 1
-    assert cuts[0].constant == pytest.approx(3 / 2, abs=1e-12)
-    assert cuts[0].provenance[2] == (0, 1, 2)
+    assert len(cuts) == 1 and len(pool) == 1
+    # support (0, 1, 2) by descending x, ties by index; prefix values at x
+    # 7/4, 4/3, 17/12 and 3/2 (the rounded point's): {0} is deepest, with
+    # constant 7/6, and is violated by 2.0
+    y = np.ones(3, dtype=np.int8)
+    values = [submodular_cut(golden, y, range(k)).rhs_at(pt.x) for k in range(4)]
+    assert values == pytest.approx([7 / 4, 4 / 3, 17 / 12, 3 / 2], abs=1e-12)
+    best = int(np.argmin(values))
+    assert _same_cut(cuts[0], submodular_cut(golden, y, range(best)))
+    assert cuts[0].constant == pytest.approx(7 / 6, abs=1e-12)
+    assert cuts[0].provenance[2] == (0,)
+
+
+def test_sf_cuts_are_the_deepest_prefix_cuts_at_fractional_points(monkeypatch):
+    """At a fractional point each pool member's SF cut is the classic cut,
+    built once through ``separation.submodular_cut``, of the prefix of the
+    LP support (descending x, ties by index) with the smallest value at x:
+    brute force over every prefix gives the same minimum, at the smallest
+    such prefix, and it is at most the rounded-support cut's value.  At an
+    integral point the cuts are the open set's classic cuts, as before."""
+    rng = np.random.default_rng(53)
+    built = []
+    original = separation.submodular_cut
+    monkeypatch.setattr(separation, "submodular_cut", lambda *a, **k: built.append(1) or original(*a, **k))
+    for case in range(200):
+        m, n = (int(k) for k in rng.integers(2, 13, size=2))
+        inst = random_instance(rng, m=m, n=n, p=int(rng.integers(1, n + 1)), r=int(rng.integers(1, n + 1)))
+        pool = FollowerPool()
+        for _ in range(3):
+            pool.add(random_choice(rng, n, inst.r))
+        members = list(pool)
+        x = rng.uniform(0.0, 1.0, size=n)
+        if case % 2:
+            x = np.round(4 * x) / 4  # ties, zeros, ones and halves
+        x[0] = 0.3  # fractional
+        eta = float((n + 2) * inst.total_demand)  # above every cut's value
+        built.clear()
+        cuts = separate_sf(RelaxPoint(eta=eta, x=x), inst, pool)
+        assert len(built) == len(members) == len(cuts)
+        cols = np.flatnonzero(x > 0)
+        order = [int(j) for j in cols[np.argsort(-x[cols], kind="stable")]]
+        rounded = np.flatnonzero(x >= 0.5)
+        for y, cut in zip(members, cuts):
+            values = [original(inst, y, order[:k]).rhs_at(x) for k in range(len(order) + 1)]
+            low = min(values)
+            tol = 1e-12 * max(1.0, abs(low))
+            k = next(k for k, value in enumerate(values) if value <= low + tol)
+            assert cut.provenance[2] == tuple(sorted(order[:k]))
+            assert _same_cut(cut, original(inst, y, order[:k]))
+            assert cut.rhs_at(x) == pytest.approx(low, rel=1e-12, abs=1e-12)
+            assert cut.rhs_at(x) <= original(inst, y, rounded).rhs_at(x) + tol
+        xint = random_choice(rng, n, inst.p).astype(float)
+        cuts = separate_sf(RelaxPoint(eta=eta, x=xint), inst, pool)
+        assert len(cuts) == len(members)
+        assert all(_same_cut(cut, original(inst, y, np.flatnonzero(xint))) for y, cut in zip(members, cuts))
 
 
 def test_gsf_cuts_off_classic_relaxation_optimum(golden):
@@ -248,9 +299,8 @@ def test_pool_memoized_cuts_equal_fresh_cuts():
     ell = tight_ell(inst, x)
     gsf = separate_gsf(pt, inst, pool)
     assert gsf and all(_same_cut(c, improved_cut(inst, np.array(c.provenance[1], np.int8), ell)) for c in gsf)
-    support = [int(j) for j in np.flatnonzero(np.floor(x + 0.5) > 0.5)]
     sf = separate_sf(pt, inst, pool)
-    assert sf and all(_same_cut(c, submodular_cut(inst, np.array(c.provenance[1], np.int8), support)) for c in sf)
+    assert sf and all(_same_cut(c, submodular_cut(inst, np.array(c.provenance[1], np.int8), c.provenance[2])) for c in sf)
 
 
 def test_sf_separation_uses_the_point_integrality_tolerance():

@@ -17,6 +17,7 @@ from scflp.verify import (
 )
 
 from conftest import random_choice, random_instance
+from lp_rows import lp_rows
 
 Y_ALL = np.array([1, 1, 1], dtype=np.int8)
 
@@ -155,7 +156,7 @@ def test_verify_polytopes_match_per_row_reference():
             coef = {0: 1.0}
             coef.update({1 + j: -c for j, c in enumerate(cut.xcoef) if c != 0.0})
             expected.append(("<=", cut.constant, list(coef.items())))
-        assert [(r.sense, r.rhs, list(r.coef.items())) for r in anchor.rows] == expected
+        assert [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(anchor)] == expected
 
         m, n = inst.m, inst.n
         assign = _assignment_polytope(inst, y)
@@ -164,7 +165,7 @@ def test_verify_polytopes_match_per_row_reference():
         zcoef = ef_cut(inst, y).zcoef
         cells = [(1 + n + i * n + j, -zcoef[i, j]) for i in range(m) for j in range(n) if zcoef[i, j] != 0.0]
         expected.append(("<=", 0.0, [(0, 1.0)] + cells))
-        assert [(r.sense, r.rhs, list(r.coef.items())) for r in assign.rows] == expected
+        assert [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(assign)] == expected
 
 
 def test_anchor_polytope_matches_per_row_cuts_on_hull_gap_instance():
@@ -172,7 +173,7 @@ def test_anchor_polytope_matches_per_row_cuts_on_hull_gap_instance():
     the per-row improved_cut rows, in order, bit for bit."""
     inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
     cy = compute_cy(inst, HULL_GAP_Y)
-    rows = _anchor_polytope(inst, HULL_GAP_Y).rows
+    rows = lp_rows(_anchor_polytope(inst, HULL_GAP_Y))
     anchors = list(itertools.product(range(7), repeat=4))
     assert len(rows) == len(anchors) == 2401
     for row, ell in zip(rows, anchors):
