@@ -140,7 +140,7 @@ class _Search:
         self.inst = inst
         self.cfg = cfg
         self.model = build_model(inst, cfg.formulation)
-        self.pool = FollowerPool()
+        self.pool = FollowerPool(self.inst)
         self.registry: set[tuple] = set()
         self.cuts = 0
         self.sep_time = 0.0
@@ -164,7 +164,7 @@ class _Search:
         t = time.perf_counter()
         form = self.cfg.formulation
         separate = separate_sf if form == "SF" else separate_gsf if form == "GSF" else separate_ef
-        cuts = separate(pt, self.inst, self.pool, self.cfg.eps_viol)
+        cuts = separate(pt, self.pool, self.cfg.eps_viol)
         self.sep_time += time.perf_counter() - t
         return cuts
 

@@ -209,13 +209,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _bench_task(payload):
-    """Worker body: one (instance, settings) solve to a CSV row."""
-    text, label, cfg = payload
-    report = solve(load_instance(text), cfg)
-    return report.csv_row(label), report.status, report.total_time_s, cfg.formulation
-
-
 def _cmd_bench(args) -> int:
     forms = [f.strip() for f in args.form.split(",") if f.strip()]
     for flag, values in (("--form", forms), ("--p", args.p), ("--r", args.r)):
@@ -225,38 +218,41 @@ def _cmd_bench(args) -> int:
         _refuse(f"--workers must be at least 1, got {args.workers}")
     configs = [_config(form, args) for form in forms]
 
+    # (label, instance, settings); workers get the Instance itself (it
+    # pickles), so each solves exactly the instance its label names
     tasks = []
     if args.path:
-        text = save_instance(_read_instance(args.path))
-        tasks += [(text, Path(args.path).name, cfg) for cfg in configs]
+        inst = _read_instance(args.path)
+        tasks += [(Path(args.path).name, inst, cfg) for cfg in configs]
     else:
         idx = 0
         for p in args.p:
             for r in args.r:
                 params = GeneratorParams(style=args.style, m=args.m, n=args.n, p=p, r=r, seed=args.seed + idx)
-                text = save_instance(generate_instance(params))
+                inst = generate_instance(params)
                 label = f"{args.style}_m{args.m}_n{args.n}_p{p}_r{r}_s{args.seed + idx}"
-                tasks += [(text, label, cfg) for cfg in configs]
+                tasks += [(label, inst, cfg) for cfg in configs]
                 idx += 1
 
+    labels, insts, cfgs = zip(*tasks)
     with _open_out(args.out) as csv:
         if args.workers > 1:
             # imported here: multiprocessing would add ~15 ms to every CLI start
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(_bench_task, tasks))
+                reports = list(pool.map(solve, insts, cfgs))
         else:
-            results = [_bench_task(t) for t in tasks]
-        csv.write("\n".join([CSV_HEADER] + [row for row, *_ in results]) + "\n")
+            reports = list(map(solve, insts, cfgs))
+        csv.write("\n".join([CSV_HEADER] + [rep.csv_row(label) for rep, label in zip(reports, labels)]) + "\n")
 
     # two-column performance profile per formulation: time, solved fraction
     per_form: dict[str, list[float]] = {f: [] for f in forms}
     counts: dict[str, int] = {f: 0 for f in forms}
-    for _, status, t, form in results:
-        counts[form] += 1
-        if status == "optimal":
-            per_form[form].append(t)
+    for rep in reports:
+        counts[rep.formulation] += 1
+        if rep.status == "optimal":
+            per_form[rep.formulation].append(rep.total_time_s)
     out = Path(args.out)
     for form in forms:
         times = sorted(per_form[form])
@@ -264,7 +260,7 @@ def _cmd_bench(args) -> int:
         profile = out.with_name(out.stem + f"_profile_{form}.dat")
         _write_text(str(profile), "\n".join(lines) + ("\n" if lines else ""))
 
-    limited = any(status != "optimal" for _, status, *_ in results)
+    limited = any(rep.status != "optimal" for rep in reports)
     return LIMIT_EXIT if limited else 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .instance import Instance
 from .market import compute_cy
 from .rmedian import RMedianInstance
-from .tolerances import UNIT_SLACK as _UNIT_SLACK
+from .tolerances import UNIT_SLACK
 
 # the separation-cost kernels work on blocks of customers whose
 # (block, n, n) temporary takes about this many bytes: a few blocks fit in
@@ -91,8 +91,8 @@ def _prefix_lengths(xs_sorted: np.ndarray) -> np.ndarray:
     """Per row of an (m, n) matrix of LP masses in descending-v order: the
     number of leading sites whose cumulative mass stays below one; 1 when
     the very first site is fully open."""
-    k = (xs_sorted.cumsum(axis=1) < 1.0 - _UNIT_SLACK).sum(axis=1)
-    k[xs_sorted[:, 0] >= 1.0 - _UNIT_SLACK] = 1
+    k = (xs_sorted.cumsum(axis=1) < 1.0 - UNIT_SLACK).sum(axis=1)
+    k[xs_sorted[:, 0] >= 1.0 - UNIT_SLACK] = 1
     return k
 
 

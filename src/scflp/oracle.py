@@ -93,7 +93,6 @@ def full_lp_value(
     formulation: str,
     row_cap: int = 200_000,
     y_cap: int = 100_000,
-    eps: float = 1e-10,
 ) -> float:
     """Exact LP relaxation value of the fully described formulation."""
     n_y = math.comb(inst.n, inst.r)
@@ -110,7 +109,9 @@ def full_lp_value(
         return _explicit_value(inst, "EF", (ef_cut(inst, y) for y in _follower_choices(inst)))
     if formulation != "GSF":
         raise ValueError(f"unknown formulation {formulation!r}")
-    search = _Search(inst, BncConfig(formulation="GSF", eps_viol=eps))
+    # a violation threshold far below EPS_VIOL: the loop stops at the
+    # relaxation value, not up to EPS_VIOL above it
+    search = _Search(inst, BncConfig(formulation="GSF", eps_viol=1e-10))
     outcome, obj, _ = search.cut_loop(is_root=True, lb=-math.inf)
     # anchor separation is exact at any point: a loop that stopped with
     # nothing fresh to add has reached the relaxation value

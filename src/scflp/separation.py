@@ -5,7 +5,9 @@ one pass (``_separate``) that differs only in the family's cut builder and
 r-median costs.  The pass first scans a pool of previously optimal follower
 responses; when no member's cut is violated it solves the family's
 separation r-median exactly (SF only at integral points), started from the
-pool's members, and adds the argmin to the pool.  At a fractional point
+pool's members, and adds the argmin to the pool.  The pool is bound to one
+instance, which the separators read from it, and computes each member's
+capture matrix once, when the member joins.  At a fractional point
 SF's cut for a member is the classic cut deepest at the point over the
 prefix sets of its support (``cuts.deepest_prefix``); SF's fractional pass
 is pool-only and claims no exactness.  Pool scans and exact
@@ -31,52 +33,42 @@ from .tolerances import EPS_VIOL, INT_TOL, at_most
 
 
 class FollowerPool:
-    """Ordered set of distinct follower choices, scanned newest first.
+    """Distinct follower choices of one instance, scanned newest first.
 
     Members are optimal solutions of previously solved exact separation
     problems, so their cuts are the ones most likely to be violated again.
-    ``scan`` computes each member's capture matrix once per instance.
-    ``last_solve`` holds the most recent exact separation solve recorded
-    on the pool: (r-median instance, sites, value), or None.
+    One insertion-ordered map holds each member as (y, capture matrix); the
+    matrix is computed once, when the member joins.  ``last_solve`` holds
+    the most recent exact separation solve recorded on the pool:
+    (r-median instance, sites, value), or None.
     """
 
-    def __init__(self):
-        self._members: list[np.ndarray] = []
-        self._seen: set[bytes] = set()
-        self._inst: Instance | None = None  # the instance _captures belong to
-        self._captures: list[np.ndarray | None] = []
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self._members: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.last_solve: tuple[RMedianInstance, np.ndarray, float] | None = None
 
-    def add(self, y) -> bool:
+    def add(self, y) -> np.ndarray:
+        """Add follower choice y unless present; returns its capture matrix."""
         y = np.asarray(y, dtype=np.int8)
         key = y.tobytes()
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._members.append(y)
-        self._captures.append(None)
-        return True
+        if key not in self._members:
+            self._members[key] = (y, compute_cy(self.inst, y))
+        return self._members[key][1]
 
     def __len__(self) -> int:
         return len(self._members)
 
     def __iter__(self):
-        return iter(reversed(self._members))
+        return (y for y, _ in self.scan())
 
     def sites(self):
         """Open sites of each member, newest first, computed as consumed."""
         return (open_sites(y) for y in self)
 
-    def scan(self, inst: Instance):
-        """(y, compute_cy(inst, y)) per member, newest first."""
-        if inst is not self._inst:
-            self._inst = inst
-            self._captures = [None] * len(self._members)
-        for k in range(len(self._members) - 1, -1, -1):
-            cy = self._captures[k]
-            if cy is None:
-                cy = self._captures[k] = compute_cy(inst, self._members[k])
-            yield self._members[k], cy
+    def scan(self):
+        """(y, capture matrix) per member, newest first."""
+        return reversed(self._members.values())
 
 
 @dataclass(frozen=True)
@@ -102,14 +94,14 @@ def is_integral(x) -> bool:
     return bool((np.abs(x - x.round()) <= INT_TOL).all())
 
 
-def _separate(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float, cut_for, costs) -> list[Cut]:
+def _separate(pt: RelaxPoint, pool: FollowerPool, eps: float, cut_for, costs) -> list[Cut]:
     """The one separation pass: cut_for(y, cy) builds a family's cut for
-    follower choice y (cy its capture matrix, or None), and costs, when not
-    None, returns the exact separation r-median at pt.  Pool cuts violated
-    by more than eps are returned; with none, the exact argmin joins the
-    pool, its solve is recorded, and its cut is kept by the module
-    docstring's rule."""
-    hits = [cut for cut in (cut_for(y, cy) for y, cy in pool.scan(inst)) if _violated(cut, pt, eps)]
+    follower choice y with capture matrix cy, and costs, when not None,
+    returns the exact separation r-median at pt.  Pool cuts violated by
+    more than eps are returned; with none, the exact argmin joins the pool,
+    its solve is recorded, and its cut is kept by the module docstring's
+    rule."""
+    hits = [cut for cut in (cut_for(y, cy) for y, cy in pool.scan()) if _violated(cut, pt, eps)]
     if hits or costs is None:
         return hits
     rm = costs()
@@ -117,15 +109,14 @@ def _separate(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float, cu
     if status != "optimal":
         raise RuntimeError("exact separation hit the r-median limit")
     pool.last_solve = (rm, sites, value)
-    y_star = indicator(inst.n, sites)
-    pool.add(y_star)
-    cut = cut_for(y_star, None)
+    y_star = indicator(pool.inst.n, sites)
+    cut = cut_for(y_star, pool.add(y_star))
     if pt.integral:
         return [] if at_most(pt.eta, cut.rhs_at(pt.x, pt.z)) else [cut]
     return [cut] if _violated(cut, pt, eps) else []
 
 
-def separate_sf(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
+def separate_sf(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
     """Classic-cut separation.
 
     At an integral x (``pt.integral``) each cut is built at the rounded
@@ -139,18 +130,18 @@ def separate_sf(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float =
     """
     if pt.z is not None:
         raise ValueError("classic separation takes points without allocations")
+    inst = pool.inst
     x = np.asarray(pt.x)
     if pt.integral:
         support = (np.floor(x + 0.5) > 0.5).nonzero()[0].tolist()  # the open set
-        return _separate(pt, inst, pool, eps, lambda y, cy: submodular_cut(inst, y, support, cy), lambda: response_costs(inst, x))
+        return _separate(pt, pool, eps, lambda y, cy: submodular_cut(inst, y, support, cy), lambda: response_costs(inst, x))
     cols = (x > 0.0).nonzero()[0]
     order = cols[np.argsort(-x[cols], kind="stable")]  # descending x, ties by index
     xs = x[order]
-    # no exact pass here, so cy is always a pool member's capture matrix
-    return _separate(pt, inst, pool, eps, lambda y, cy: submodular_cut(inst, y, deepest_prefix(inst, cy, order, xs), cy), None)
+    return _separate(pt, pool, eps, lambda y, cy: submodular_cut(inst, y, deepest_prefix(inst, cy, order, xs), cy), None)
 
 
-def separate_gsf(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
+def separate_gsf(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
     """Anchor-cut separation, exact at arbitrary points.
 
     The deepest anchor vector at x is follower independent, so every cut,
@@ -159,14 +150,16 @@ def separate_gsf(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float 
     """
     if pt.z is not None:
         raise ValueError("anchor separation takes points without allocations")
+    inst = pool.inst
     ell = tight_ell(inst, pt.x)
-    return _separate(pt, inst, pool, eps, lambda y, cy: improved_cut(inst, y, ell, cy), lambda: gsf_separation_costs(inst, pt.x))
+    return _separate(pt, pool, eps, lambda y, cy: improved_cut(inst, y, ell, cy), lambda: gsf_separation_costs(inst, pt.x))
 
 
-def separate_ef(pt: RelaxPoint, inst: Instance, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
+def separate_ef(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
     """Assignment-cut separation, exact at arbitrary points: cuts bound eta
     through the allocations z, and the exact pass solves the r-median on
     the costs at z."""
     if pt.z is None:
         raise ValueError("assignment separation needs allocations")
-    return _separate(pt, inst, pool, eps, lambda y, cy: ef_cut(inst, y, cy), lambda: ef_separation_costs(inst, pt.z))
+    inst = pool.inst
+    return _separate(pt, pool, eps, lambda y, cy: ef_cut(inst, y, cy), lambda: ef_separation_costs(inst, pt.z))

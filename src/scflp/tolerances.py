@@ -1,9 +1,7 @@
 """Numerical tolerances of the solver, each defined once.
 
-The modules that use a tolerance import it from here under the name they
-have always exported (``separation.EPS_VIOL``, ``separation.INT_TOL``,
-``lp.FEAS_TOL``, ``cuts._UNIT_SLACK``), so existing imports keep working.
-``PRUNE_SLACK`` is read only through ``at_most``.
+The modules that use a tolerance import it from here.  ``PRUNE_SLACK`` is
+read only through ``at_most``.
 """
 
 # A cut is added only when eta exceeds its right-hand side by more than

@@ -170,11 +170,10 @@ def _per_customer_lp(ci: np.ndarray, x: np.ndarray) -> float:
     return res.objective
 
 
-def verify_aggregation(inst: Instance, trials: int = 5, seed: int = 0, y_cap: int = 200) -> AggregationReport:
+def verify_aggregation(inst: Instance, trials: int = 5, seed: int = 0) -> AggregationReport:
     """Shared vs per-follower-choice allocation blocks, plus greedy/dual
     closed forms against per-customer LP values at random fractional x."""
-    n_y = math.comb(inst.n, inst.r)
-    if n_y > y_cap or inst.m * inst.n > 400:
+    if math.comb(inst.n, inst.r) > 200 or inst.m * inst.n > 400:
         raise CapExceededError("aggregation check needs an enumerable follower set and m*n <= 400")
     y_list = [indicator(inst.n, combo) for combo in itertools.combinations(range(inst.n), inst.r)]
 

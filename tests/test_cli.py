@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from scflp.cli import main
@@ -157,6 +158,32 @@ def test_bench_parallel_workers_match_serial(golden_file, tmp_path, capsys):
     assert main(args + ["--out", str(serial)]) == 0
     assert main(args + ["--out", str(parallel), "--workers", "2"]) == 0
     assert _mask_times(serial.read_text()) == _mask_times(parallel.read_text())
+    capsys.readouterr()
+
+
+def test_bench_solves_the_instance_it_names(tmp_path, monkeypatch, capsys):
+    """bench solves the generated instance itself, and an --in file's
+    instance as load_instance reads it, not a 12-digit re-save of either."""
+    from scflp import cli
+    from scflp.instance import FORMAT_HEADER, GeneratorParams, generate_instance, load_instance
+
+    seen = []
+    real = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda inst, cfg: seen.append(inst) or real(inst, cfg))
+    args = ["bench", "--m", "5", "--n", "6", "--p", "2", "--r", "2", "--seed", "3", "--form", "GSF"]
+    assert main(args + ["--out", str(tmp_path / "gen.csv")]) == 0
+    generated = generate_instance(GeneratorParams("biesinger", m=5, n=6, p=2, r=2, seed=3))
+    num = "{:.17g}".format
+    text = "\n".join(
+        [FORMAT_HEADER, "5 6 2 2", " ".join(map(num, generated.w))] + [" ".join(map(num, row)) for row in generated.v]
+    )
+    path = tmp_path / "full.scflp"
+    path.write_text(text + "\n")
+    assert main(["bench", "--in", str(path), "--form", "GSF", "--out", str(tmp_path / "file.csv")]) == 0
+    assert len(seen) == 2
+    for inst, want in zip(seen, (generated, load_instance(text))):
+        assert np.array_equal(inst.v, want.v) and np.array_equal(inst.w, want.w)
+    assert np.array_equal(seen[1].v, generated.v)  # 17 digits round-trip exactly
     capsys.readouterr()
 
 

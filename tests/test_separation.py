@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from scflp import compute_cy, follower_best_response, leader_share
+from scflp import BncConfig, GeneratorParams, compute_cy, follower_best_response, generate_instance, leader_share, solve
 from scflp import separation
 from scflp.cuts import ef_cut, greedy_assignment, improved_cut, submodular_cut, tight_ell
 from scflp.market import indicator
@@ -12,33 +12,34 @@ from scflp.separation import FollowerPool, RelaxPoint, is_integral, separate_ef,
 from conftest import random_choice, random_instance
 
 
-def test_pool_deduplicates_and_orders_newest_first():
-    pool = FollowerPool()
-    assert pool.add([1, 0, 1])
-    assert pool.add([0, 1, 1])
-    assert not pool.add([1, 0, 1])
+def test_pool_deduplicates_and_orders_newest_first(golden):
+    pool = FollowerPool(golden)
+    pool.add([1, 0, 1])
+    pool.add([0, 1, 1])
+    assert len(pool) == 2
+    pool.add([1, 0, 1])
     assert len(pool) == 2
     members = [tuple(y) for y in pool]
     assert members == [(0, 1, 1), (1, 0, 1)]
 
 
 def test_sf_exact_separation_golden(golden):
-    pool = FollowerPool()
+    pool = FollowerPool(golden)
     pt = RelaxPoint(eta=1.6, x=np.array([1.0, 1.0, 0.0]))
-    cuts = separate_sf(pt, golden, pool)
+    cuts = separate_sf(pt, pool)
     assert len(cuts) == 1
     assert cuts[0].constant == pytest.approx(4 / 3, abs=1e-12)
     assert len(pool) == 1
     assert [tuple(y) for y in pool] == [(1, 1, 1)]
     # second call at the same point hits the pool, not the exact solver
-    again = separate_sf(pt, golden, pool)
+    again = separate_sf(pt, pool)
     assert len(again) == 1 and again[0].provenance == cuts[0].provenance
 
 
 def test_sf_zero_eta_never_violated(golden):
-    pool = FollowerPool()
+    pool = FollowerPool(golden)
     pt = RelaxPoint(eta=0.0, x=np.array([1.0, 0.0, 1.0]))
-    assert separate_sf(pt, golden, pool) == []
+    assert separate_sf(pt, pool) == []
 
 
 def test_sf_feasible_point_certified():
@@ -47,17 +48,17 @@ def test_sf_feasible_point_certified():
     x = random_choice(rng, 6, 2)
     _, val = follower_best_response(inst, x)
     pt = RelaxPoint(eta=val, x=np.asarray(x, dtype=float))
-    assert separate_sf(pt, inst, FollowerPool()) == []
+    assert separate_sf(pt, FollowerPool(inst)) == []
 
 
 def test_sf_fractional_takes_the_deepest_prefix_cut_and_pool_only(golden):
-    pool = FollowerPool()
+    pool = FollowerPool(golden)
     # fractional point, empty pool: the heuristic has nothing to offer
     pt = RelaxPoint(eta=2.0, x=np.array([0.5, 0.5, 0.5]))
-    assert separate_sf(pt, golden, pool) == []
+    assert separate_sf(pt, pool) == []
     assert len(pool) == 0  # no exact call at fractional points
     pool.add([1, 1, 1])
-    cuts = separate_sf(pt, golden, pool)
+    cuts = separate_sf(pt, pool)
     assert len(cuts) == 1 and len(pool) == 1
     # support (0, 1, 2) by descending x, ties by index; prefix values at x
     # 7/4, 4/3, 17/12 and 3/2 (the rounded point's): {0} is deepest, with
@@ -85,7 +86,7 @@ def test_sf_cuts_are_the_deepest_prefix_cuts_at_fractional_points(monkeypatch):
     for case in range(200):
         m, n = (int(k) for k in rng.integers(2, 13, size=2))
         inst = random_instance(rng, m=m, n=n, p=int(rng.integers(1, n + 1)), r=int(rng.integers(1, n + 1)))
-        pool = FollowerPool()
+        pool = FollowerPool(inst)
         for _ in range(3):
             pool.add(random_choice(rng, n, inst.r))
         members = list(pool)
@@ -95,7 +96,7 @@ def test_sf_cuts_are_the_deepest_prefix_cuts_at_fractional_points(monkeypatch):
         x[0] = 0.3  # fractional
         eta = float((n + 2) * inst.total_demand)  # above every cut's value
         built.clear()
-        cuts = separate_sf(RelaxPoint(eta=eta, x=x), inst, pool)
+        cuts = separate_sf(RelaxPoint(eta=eta, x=x), pool)
         assert len(built) == len(members) == len(cuts)
         cols = np.flatnonzero(x > 0)
         order = [int(j) for j in cols[np.argsort(-x[cols], kind="stable")]]
@@ -110,15 +111,15 @@ def test_sf_cuts_are_the_deepest_prefix_cuts_at_fractional_points(monkeypatch):
             assert cut.rhs_at(x) == pytest.approx(low, rel=1e-12, abs=1e-12)
             assert cut.rhs_at(x) <= original(inst, y, rounded).rhs_at(x) + tol
         xint = random_choice(rng, n, inst.p).astype(float)
-        cuts = separate_sf(RelaxPoint(eta=eta, x=xint), inst, pool)
+        cuts = separate_sf(RelaxPoint(eta=eta, x=xint), pool)
         assert len(cuts) == len(members)
         assert all(_same_cut(cut, original(inst, y, np.flatnonzero(xint))) for y, cut in zip(members, cuts))
 
 
 def test_gsf_cuts_off_classic_relaxation_optimum(golden):
-    pool = FollowerPool()
+    pool = FollowerPool(golden)
     pt = RelaxPoint(eta=25 / 18, x=np.array([2 / 3, 2 / 3, 2 / 3]))
-    cuts = separate_gsf(pt, golden, pool)
+    cuts = separate_gsf(pt, pool)
     assert len(cuts) == 1
     assert pt.eta > cuts[0].rhs_at(pt.x) + 1e-8
     # the exact reduction value is the anchor-cut optimum 4/3
@@ -127,29 +128,29 @@ def test_gsf_cuts_off_classic_relaxation_optimum(golden):
 
 def test_gsf_certifies_anchor_relaxation_optimum(golden):
     pt = RelaxPoint(eta=4 / 3, x=np.array([1.0, 1.0, 0.0]))
-    assert separate_gsf(pt, golden, FollowerPool()) == []
+    assert separate_gsf(pt, FollowerPool(golden)) == []
 
 
 def test_gsf_zero_mass_point(golden):
-    pool = FollowerPool()
+    pool = FollowerPool(golden)
     pt = RelaxPoint(eta=0.1, x=np.zeros(3))
-    cuts = separate_gsf(pt, golden, pool)
+    cuts = separate_gsf(pt, pool)
     assert len(cuts) == 1
     assert cuts[0].constant == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gsf_pool_hit_skips_exact(golden):
-    pool = FollowerPool()
+    pool = FollowerPool(golden)
     pool.add([1, 1, 1])
     pt = RelaxPoint(eta=1.6, x=np.array([1.0, 1.0, 0.0]))
-    cuts = separate_gsf(pt, golden, pool)
+    cuts = separate_gsf(pt, pool)
     assert len(cuts) == 1
     assert len(pool) == 1  # nothing new was added
 
 
 def test_ef_zero_assignment_violated(golden):
     pt = RelaxPoint(eta=0.5, x=np.array([1.0, 1.0, 0.0]), z=np.zeros((3, 3)))
-    cuts = separate_ef(pt, golden, FollowerPool())
+    cuts = separate_ef(pt, FollowerPool(golden))
     assert len(cuts) == 1 and cuts[0].kind == "EF"
 
 
@@ -157,7 +158,7 @@ def test_ef_certifies_optimal_point(golden):
     x = np.array([1.0, 1.0, 0.0])
     z = greedy_assignment(golden, x)
     pt = RelaxPoint(eta=4 / 3, x=x, z=z)
-    assert separate_ef(pt, golden, FollowerPool()) == []
+    assert separate_ef(pt, FollowerPool(golden)) == []
 
 
 def test_ef_exactness_against_enumeration():
@@ -170,8 +171,8 @@ def test_ef_exactness_against_enumeration():
             for combo in itertools.combinations(range(5), 2)
         )
         # barely feasible: certified; clearly infeasible: cut returned
-        assert separate_ef(RelaxPoint(eta=best - 1e-9, x=np.zeros(5), z=z), inst, FollowerPool()) == []
-        assert len(separate_ef(RelaxPoint(eta=best + 1e-3, x=np.zeros(5), z=z), inst, FollowerPool())) == 1
+        assert separate_ef(RelaxPoint(eta=best - 1e-9, x=np.zeros(5), z=z), FollowerPool(inst)) == []
+        assert len(separate_ef(RelaxPoint(eta=best + 1e-3, x=np.zeros(5), z=z), FollowerPool(inst))) == 1
 
 
 def test_ef_separation_uses_the_pool(monkeypatch):
@@ -183,14 +184,14 @@ def test_ef_separation_uses_the_pool(monkeypatch):
     solves = []
     original = separation.rmedian_solve
     monkeypatch.setattr(separation, "rmedian_solve", lambda *a, **k: solves.append(1) or original(*a, **k))
-    pool = FollowerPool()
+    pool = FollowerPool(inst)
     x = np.full(6, 1 / 3)  # with z <= 1/6: a point of the EF relaxation
-    cuts = separate_ef(RelaxPoint(eta=inst.total_demand, x=x, z=rng.uniform(0.0, 1 / 6, size=(4, 6))), inst, pool)
+    cuts = separate_ef(RelaxPoint(eta=inst.total_demand, x=x, z=rng.uniform(0.0, 1 / 6, size=(4, 6))), pool)
     assert len(cuts) == 1 and len(solves) == 1 and len(pool) == 1
     y_star = next(iter(pool))
     assert tuple(pool.last_solve[1]) == tuple(np.flatnonzero(y_star))
     assert cuts[0].provenance == ef_cut(inst, y_star).provenance
-    again = separate_ef(RelaxPoint(eta=inst.total_demand, x=x, z=rng.uniform(0.0, 1 / 6, size=(4, 6))), inst, pool)
+    again = separate_ef(RelaxPoint(eta=inst.total_demand, x=x, z=rng.uniform(0.0, 1 / 6, size=(4, 6))), pool)
     assert len(solves) == 1 and len(pool) == 1
     assert len(again) == 1 and again[0].provenance == cuts[0].provenance
 
@@ -207,8 +208,8 @@ def test_exactness_at_integral_points_all_families():
         _, val = follower_best_response(inst, x)
         for eta, expect_cut in ((val - 1e-8, False), (val + 1e-3, True)):
             pt = RelaxPoint(eta=eta, x=xf)
-            sf = separate_sf(pt, inst, FollowerPool())
-            gsf = separate_gsf(pt, inst, FollowerPool())
+            sf = separate_sf(pt, FollowerPool(inst))
+            gsf = separate_gsf(pt, FollowerPool(inst))
             assert (len(sf) > 0) == expect_cut
             assert (len(gsf) > 0) == expect_cut
         truth = min(leader_share(inst, x, indicator(6, c)) for c in itertools.combinations(range(6), 2))
@@ -229,20 +230,20 @@ def test_integral_point_cut_threshold_is_the_certification_slack(form):
         xf = np.asarray(x, dtype=float)
         z = greedy_assignment(inst, xf) if form == "EF" else None
         _, val = follower_best_response(inst, x)
-        cuts = separate(RelaxPoint(eta=val + 1e-7, x=xf, z=z), inst, FollowerPool())
+        cuts = separate(RelaxPoint(eta=val + 1e-7, x=xf, z=z), FollowerPool(inst))
         assert len(cuts) == 1
         assert cuts[0].rhs_at(xf, z) == pytest.approx(val, rel=1e-12)
-        assert separate(RelaxPoint(eta=val, x=xf, z=z), inst, FollowerPool()) == []
+        assert separate(RelaxPoint(eta=val, x=xf, z=z), FollowerPool(inst)) == []
 
 
 def test_pool_grows_one_member_per_exact_call():
     rng = np.random.default_rng(17)
     inst = random_instance(rng, m=3, n=6, p=2, r=2)
-    pool = FollowerPool()
+    pool = FollowerPool(inst)
     sizes = []
     for _ in range(8):
         x = random_choice(rng, 6, 2)
-        separate_gsf(RelaxPoint(eta=inst.total_demand, x=np.asarray(x, dtype=float)), inst, pool)
+        separate_gsf(RelaxPoint(eta=inst.total_demand, x=np.asarray(x, dtype=float)), pool)
         sizes.append(len(pool))
     assert all(b - a in (0, 1) for a, b in zip([0] + sizes, sizes))
     members = [tuple(y) for y in pool]
@@ -254,14 +255,14 @@ def test_returned_cuts_are_sound():
     rng = np.random.default_rng(19)
     for _ in range(10):
         inst = random_instance(rng, m=3, n=5, p=2, r=2)
-        pool = FollowerPool()
+        pool = FollowerPool(inst)
         collected = []
         for _ in range(6):
             x = rng.uniform(0.0, 1.0, size=5)
             x = x * inst.p / x.sum()
             pt = RelaxPoint(eta=float(inst.total_demand), x=np.clip(x, 0.0, 1.0))
-            collected += separate_gsf(pt, inst, pool)
-            collected += separate_sf(pt, inst, pool)
+            collected += separate_gsf(pt, pool)
+            collected += separate_sf(pt, pool)
         for combo in itertools.combinations(range(5), 2):
             x = indicator(5, combo)
             _, val = follower_best_response(inst, x, mode="enumerate")
@@ -279,27 +280,25 @@ def _same_cut(a, b) -> bool:
 
 
 def test_pool_memoized_cuts_equal_fresh_cuts():
-    """The pool computes each member's capture matrix once per instance;
-    the cuts built from them equal cuts built from scratch bit for bit."""
+    """The pool computes each member's capture matrix once, when it joins,
+    and add hands that matrix back; the cuts built from them equal cuts
+    built from scratch bit for bit."""
     rng = np.random.default_rng(29)
     inst = random_instance(rng, m=5, n=7, p=2, r=3)
-    other = random_instance(rng, m=5, n=7, p=2, r=3)
-    pool = FollowerPool()
+    pool = FollowerPool(inst)
     for _ in range(6):
         pool.add(random_choice(rng, 7, 3))
-    first = list(pool.scan(inst))
+    first = list(pool.scan())
     assert [tuple(y) for y, _ in first] == [tuple(y) for y in pool]
-    for (y, cy), (_, again) in zip(first, pool.scan(inst)):
-        assert again is cy
+    for (y, cy), (_, again) in zip(first, pool.scan()):
+        assert again is cy and pool.add(y) is cy
         assert np.array_equal(cy, compute_cy(inst, y))
-    for y, cy in pool.scan(other):  # another instance: fresh matrices
-        assert np.array_equal(cy, compute_cy(other, y))
     x = rng.uniform(0.0, 1.0, size=7)
     pt = RelaxPoint(eta=float(inst.total_demand), x=x)
     ell = tight_ell(inst, x)
-    gsf = separate_gsf(pt, inst, pool)
+    gsf = separate_gsf(pt, pool)
     assert gsf and all(_same_cut(c, improved_cut(inst, np.array(c.provenance[1], np.int8), ell)) for c in gsf)
-    sf = separate_sf(pt, inst, pool)
+    sf = separate_sf(pt, pool)
     assert sf and all(_same_cut(c, submodular_cut(inst, np.array(c.provenance[1], np.int8), c.provenance[2])) for c in sf)
 
 
@@ -313,13 +312,34 @@ def test_sf_separation_uses_the_point_integrality_tolerance():
     near = np.where(xint == 0, 1e-7, 1.0 - 1e-7)
     pt = RelaxPoint(eta=float(inst.total_demand), x=near)
     assert pt.integral
-    pool = FollowerPool()
-    cuts = separate_sf(pt, inst, pool)
+    pool = FollowerPool(inst)
+    cuts = separate_sf(pt, pool)
     assert len(cuts) == 1 and len(pool) == 1 and pool.last_solve is not None
     y_star, value = follower_best_response(inst, np.round(near))
     assert tuple(next(iter(pool))) == tuple(y_star) and pool.last_solve[2] == value
     far = np.where(xint == 0, 1e-5, 1.0 - 1e-5)
     pt = RelaxPoint(eta=pt.eta, x=far)
     assert not pt.integral
-    pool = FollowerPool()
-    assert separate_sf(pt, inst, pool) == [] and pool.last_solve is None
+    pool = FollowerPool(inst)
+    assert separate_sf(pt, pool) == [] and pool.last_solve is None
+
+
+@pytest.mark.parametrize("form", ["SF", "GSF", "EF"])
+def test_each_capture_matrix_is_computed_once_per_solve(form, monkeypatch):
+    """Over a whole solve (criterion-7 instance p=r=3), separation and the
+    cut builders compute one capture matrix per pool member, when it joins."""
+    calls, pools = [], []
+    original = separation.compute_cy
+    monkeypatch.setattr(separation, "compute_cy", lambda *a: calls.append(1) or original(*a))
+    monkeypatch.setattr("scflp.cuts.compute_cy", lambda *a: calls.append(1) or original(*a))
+
+    class RecordedPool(FollowerPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    monkeypatch.setattr("scflp.bnc.FollowerPool", RecordedPool)
+    inst = generate_instance(GeneratorParams("biesinger", m=40, n=40, p=3, r=3, seed=70_003))
+    assert solve(inst, BncConfig(formulation=form)).status == "optimal"
+    assert len(pools) == 1
+    assert len(calls) == len(pools[0]) > 0
