@@ -50,6 +50,8 @@ class BncConfig:
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
         if not self.gap_tol >= 0:
             raise ValueError(f"gap tolerance must be nonnegative, got {self.gap_tol}")
+        if not 0 <= self.eps_viol < math.inf:  # a nan threshold would turn fractional separation off
+            raise ValueError(f"violation threshold must be finite and nonnegative, got {self.eps_viol}")
 
 
 @dataclass
@@ -84,7 +86,7 @@ CSV_HEADER = "instance,formulation,objective,time_s,nodes,cuts,sep_time_s,root_g
 def build_model(inst: Instance, formulation: str) -> LpModel:
     """Base relaxation: objective variable eta capped by total demand,
     leader variables in [0,1] summing to p, and for EF the allocation
-    variables with their linking rows."""
+    variables with their linking rows, started from ``_ef_start_basis``."""
     n, m = inst.n, inst.m
     ncols = 1 + n + (m * n if formulation == "EF" else 0)
     obj = np.zeros(ncols)
@@ -97,7 +99,32 @@ def build_model(inst: Instance, formulation: str) -> LpModel:
     model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p))
     if formulation == "EF":
         add_linking_rows(model, m, n, zcol(inst, 0, 0))
+        model.set_basis(*_ef_start_basis(inst))
     return model
+
+
+def _ef_start_basis(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal basis of the base EF LP at an integral leader choice x0 and
+    its greedy one-hot allocation, as (column, row) status codes of
+    ``LpModel.set_basis``.  x0 opens the p sites with the most first-choice
+    demand, ties by w @ v, then by index.  eta and the open x_j sit at
+    upper, the closed ones at lower.  With k_i customer i's first open site
+    in sigma_i, z_ij is basic up to and including k_i and at lower after it;
+    linking row (i, j) is at upper strictly before k_i and basic from it on;
+    the cardinality row is basic and every sum_j z_ij <= 1 row at upper.
+    The basis is triangular, so a dual simplex run from it starts optimal
+    (without an iteration) and the allocation block starts where HiGHS
+    would otherwise reach it one degenerate pivot at a time."""
+    m, n, sigma = inst.m, inst.n, inst.sigma
+    first_choice = np.bincount(sigma[:, 0], weights=inst.w, minlength=n)
+    open_ = np.zeros(n, bool)
+    open_[np.lexsort((-(inst.w @ inst.v), -first_choice))[: inst.p]] = True
+    k = open_[sigma].argmax(axis=1)  # rank of each customer's first open site in sigma
+    rank = np.empty((m, n), np.intp)
+    np.put_along_axis(rank, sigma, np.arange(n), axis=1)  # rank[i, j]: j's place in sigma_i
+    col = np.concatenate(([2], np.where(open_, 2, 0), np.where(rank <= k[:, None], 1, 0).ravel()))
+    row = np.concatenate(([1], np.where(rank < k[:, None], 2, 1).ravel(), np.full(m, 2)))
+    return col, row
 
 
 def zcol(inst: Instance, i: int, j: int) -> int:

@@ -21,7 +21,10 @@ sequences give identical results.  A solve hands HiGHS the slice of rows
 added since the previous one, pushes the current column bounds and
 objective (callers change them in place or reassign them between solves),
 and runs from the previous basis -- every solve after the first is warm,
-with no argument to ask for it.  A solve never reports "optimal" unless its
+with no argument to ask for it.  ``set_basis`` hands the next solve a
+starting basis instead (HiGHS's status codes: 0 at lower, 1 basic, 2 at
+upper); it is passed to HiGHS after the pending rows, and rows appended
+after the call start basic.  A solve never reports "optimal" unless its
 primal residuals are at most 1e-7; the row activities are recomputed from
 the model's own arrays (``np.bincount`` over the row ids), independent of
 HiGHS's copy.  A point HiGHS calls optimal that fails this gate is
@@ -94,6 +97,8 @@ _STATUS = {_MS.kOptimal: "optimal", _MS.kInfeasible: "infeasible", _MS.kUnbounde
 # simplex strategy 1 is serial dual simplex
 _OPTIONS = {"output_flag": False, "threads": 1, "solver": "simplex", "simplex_strategy": 1, "presolve": "off"}
 _SENSES = ("<=", ">=", "=")
+_BS = highs_core.HighsBasisStatus
+_BASIS_STATUS = np.array([_BS.kLower, _BS.kBasic, _BS.kUpper], dtype=object)  # indexed by status code
 
 
 class LpModel:
@@ -109,6 +114,7 @@ class LpModel:
         self._highs = None  # created on the first solve
         self._cols = np.arange(self.ncols, dtype=np.int32)
         self._synced = 0  # rows already passed to HiGHS
+        self._basis = None  # (col codes, row codes) for the next solve, from set_basis
         # the row store; only the first _nnz / _nrows entries are live
         self._nrows = 0
         self._nnz = 0
@@ -222,9 +228,29 @@ class LpModel:
         self._nrows, self._nnz = r1, n1
         return r0
 
+    def set_basis(self, col_status, row_status):
+        """Start the next solve from the basis given by one status code per
+        column and per current row: 0 at lower, 1 basic, 2 at upper.  Rows
+        appended after the call start basic.  Wrong lengths, unknown codes or
+        a basic count other than the row count raise ValueError and leave
+        the model unchanged; a basis HiGHS refuses raises ValueError at the
+        next solve."""
+        col = np.asarray(col_status)
+        row = np.asarray(row_status)
+        if col.shape != (self.ncols,) or row.shape != (self._nrows,):
+            raise ValueError(f"basis of {col.size} columns and {row.size} rows for a model of {self.ncols} and {self._nrows}")
+        codes = np.concatenate((col, row))
+        if not np.isin(codes, (0, 1, 2)).all():
+            raise ValueError("basis status codes must be 0 (at lower), 1 (basic) or 2 (at upper)")
+        basic = np.count_nonzero(codes == 1)
+        if basic != self._nrows:
+            raise ValueError(f"basis has {basic} basic entries for {self._nrows} rows")
+        self._basis = (codes[: self.ncols].astype(np.intp), codes[self.ncols :].astype(np.intp))
+
     def _sync(self):
         """Bring the HiGHS instance up to date with the model: append the
-        rows added since the last solve, push column bounds and objective."""
+        rows added since the last solve, push column bounds and objective,
+        then pass HiGHS a basis given to set_basis."""
         if self._highs is None:
             self._highs = highs_core._Highs()
             for key, value in _OPTIONS.items():
@@ -243,6 +269,14 @@ class LpModel:
             self._synced = r1
         _check(self._highs.changeColsBounds(self.ncols, self._cols, self.lower, self.upper), "changeColsBounds")
         _check(self._highs.changeColsCost(self.ncols, self._cols, self.objective), "changeColsCost")
+        if self._basis is not None:
+            col, row = self._basis
+            self._basis = None
+            basis = highs_core.HighsBasis()
+            basis.col_status = _BASIS_STATUS[col].tolist()
+            basis.row_status = _BASIS_STATUS[row].tolist() + [_BS.kBasic] * (r1 - row.size)
+            basis.valid = True
+            _check(self._highs.setBasis(basis), "setBasis")
         return self._highs
 
     def _row_activity(self, x: np.ndarray) -> np.ndarray:

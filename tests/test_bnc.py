@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scflp import BncConfig, GeneratorParams, bnc, brute_force_solve, follower_best_response, generate_instance, root_relaxation, solve
+from scflp import BncConfig, GeneratorParams, Instance, bnc, brute_force_solve, follower_best_response, generate_instance, root_relaxation, solve
 from scflp.bnc import _Search, add_cut_row, build_model
 from scflp.cuts import ef_cut, greedy_assignment
 from scflp.lp import LpModel, LpResult, lp_solve
@@ -214,6 +214,38 @@ def test_gap_tolerance_terminates_early():
 
 def _row_records(model):
     return [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(model)]
+
+
+def test_ef_model_starts_optimal_at_its_greedy_allocation():
+    """The first solve of an EF model makes no simplex iteration: it returns
+    eta = W, the start's open set x0 (the p sites with the most first-choice
+    demand) and x0's greedy allocation, on instances with tied
+    attractiveness and with p = n."""
+    rng = np.random.default_rng(89)
+    for t in range(60):
+        m, n = (int(k) for k in rng.integers(1, 9, size=2))
+        inst = random_instance(rng, m=m, n=n, p=n if t % 5 == 0 else None)
+        if t % 2:  # ties in v, and so in the first choices
+            inst = Instance(m=m, n=n, w=inst.w, v=rng.integers(1, 3, size=(m, n)).astype(float), p=inst.p, r=inst.r)
+        first = np.bincount(inst.sigma[:, 0], weights=inst.w, minlength=n)
+        order = sorted(range(n), key=lambda j: (-first[j], -(inst.w @ inst.v[:, j]), j))
+        x0 = indicator(n, order[: inst.p])
+        model = build_model(inst, "EF")
+        res = lp_solve(model)
+        assert res.status == "optimal"
+        assert model._highs.getInfoValue("simplex_iteration_count")[1] == 0
+        assert res.x[0] == inst.total_demand
+        np.testing.assert_array_equal(res.x[1 : 1 + n], x0)
+        np.testing.assert_array_equal(res.x[1 + n :].reshape(m, n), greedy_assignment(inst, x0))
+
+
+def test_config_refuses_a_non_finite_or_negative_violation_threshold():
+    """A nan threshold used to turn fractional separation off without a
+    word (SF on biesinger m=n=12, p=3, r=2, seed 5 took 142 nodes, not 10)."""
+    for eps in (math.nan, math.inf, -1e-9, -math.inf):
+        with pytest.raises(ValueError, match="violation threshold"):
+            BncConfig(eps_viol=eps)
+    assert BncConfig(eps_viol=0.0).eps_viol == 0.0
 
 
 def test_bulk_ef_model_matches_per_row_reference(golden):

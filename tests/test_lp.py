@@ -460,3 +460,53 @@ def test_normal_solve_after_an_unbounded_or_infeasible_verdict():
     model.upper[:] = (3.0, 5.0, 4.0)
     res = lp_solve(model)
     assert (res.status, res.objective) == pytest.approx(_linprog_reference(model), abs=1e-9)
+
+
+def test_set_basis_rejects_bad_data_and_leaves_the_model_unchanged():
+    """Wrong lengths, unknown codes and a basic count other than the row
+    count are refused; the model keeps its rows and solves as before."""
+    model = LpModel([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.5)
+    for col, row, match in (
+        ((1, 0, 0), (2,), "basis of 3 columns and 1 rows"),
+        ((1, 0), (), "basis of 2 columns and 0 rows"),
+        ((1, 3), (2,), "status codes"),
+        ((-1, 0), (1,), "status codes"),
+        ((0, 0.5), (1,), "status codes"),
+        ((1, 1), (1,), "3 basic entries for 1 rows"),
+        ((0, 2), (2,), "0 basic entries for 1 rows"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            model.set_basis(col, row)
+    assert model._basis is None and model.nrows == 1
+    res = lp_solve(model)
+    assert res.status == "optimal" and res.objective == pytest.approx(1.5, abs=1e-12)
+
+
+def test_set_basis_with_rows_appended_later_solves_like_a_fresh_model():
+    """A set basis covers the rows present at the call; rows appended after
+    it start basic.  The solves that follow, with bounds and objective
+    changed in between, agree with linprog."""
+    rng = np.random.default_rng(103)
+    model = LpModel(rng.normal(size=5), np.zeros(5), np.ones(5))
+    model.add_row(dict(enumerate(rng.uniform(0.5, 1.0, size=5))), "<=", 2.0)
+    model.set_basis((1, 2, 0, 2, 0), (2,))
+    model.add_row({0: 1.0, 3: 1.0}, ">=", 0.5)
+    model.add_row({1: 1.0, 2: -1.0, 4: 1.0}, "<=", 0.8)
+    basis = model._sync().getBasis()
+    assert [int(s) for s in basis.col_status] == [1, 2, 0, 2, 0]
+    assert [int(s) for s in basis.row_status] == [2, 1, 1]
+
+    def solve_like_linprog():
+        res = lp_solve(model)
+        assert (res.status, res.objective) == pytest.approx(_linprog_reference(model), abs=1e-9)
+
+    solve_like_linprog()
+    model.upper[2] = 0.0
+    solve_like_linprog()
+    model.upper[2] = 1.0
+    model.set_basis((1, 1, 0, 0, 2), (0, 1, 2))  # a basis set between solves
+    model.add_row({2: 1.0, 4: 1.0}, "<=", 1.2)
+    solve_like_linprog()
+    model.objective = rng.normal(size=5)
+    solve_like_linprog()

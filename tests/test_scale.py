@@ -1,5 +1,6 @@
-"""Scale rungs: biesinger and qi m=n=400 solved with GSF, and m=n=200 with
-EF, whose separation r-medians start from the pool's members.
+"""Scale rungs: biesinger and qi m=n=400 solved with GSF, m=n=200 with EF,
+whose separation r-medians start from the pool's members, and biesinger
+m=n=400 p=r=5 with EF, whose LP starts from the greedy-allocation basis.
 
 Deselected by default (see pyproject.toml); run them with
 
@@ -42,3 +43,12 @@ def test_ef_at_m_n_200_is_optimal(style):
     rep = solve(inst, BncConfig(formulation="EF", time_limit=60))
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(EF_RUNGS[style], abs=1e-6)
+
+
+@pytest.mark.scale
+def test_ef_at_m_n_400_is_optimal():
+    """160,000 allocation columns and linking rows; GSF proves the same optimum."""
+    inst = generate_instance(GeneratorParams("biesinger", m=400, n=400, p=5, r=5, seed=1))
+    rep = solve(inst, BncConfig(formulation="EF", time_limit=60))
+    assert rep.status == "optimal"
+    assert rep.objective == pytest.approx(RUNGS["biesinger", 5, 5], abs=1e-6)
