@@ -32,8 +32,6 @@ from .separation import FollowerPool, RelaxPoint, separate_ef, separate_gsf, sep
 from .tolerances import EPS_VIOL, INT_TOL, at_most
 
 FORMULATIONS = ("SF", "GSF", "EF")
-SEP_ROUNDS = 50  # fractional separation rounds per tree node
-ROOT_SEP_ROUNDS = 10_000  # the root runs its cut loop to convergence
 
 
 @dataclass(frozen=True)
@@ -217,19 +215,21 @@ class _Search:
         self.cuts += fresh
         return fresh
 
-    def cut_loop(self, is_root: bool, lb: float):
-        """Solve-separate at the current bounds until certified, out of
-        fractional rounds, or dominated.
+    def cut_loop(self, lb: float):
+        """Solve-separate at the current bounds until separation has
+        nothing fresh to add, the bound is dominated, or time runs out.
 
         Returns (outcome, objective, point) where outcome is one of
-        "certified", "branch", "round_cap", "dominated", "timeout"; after
-        "certified" and "branch" separation found nothing fresh at the
-        point, after "round_cap" it had just added cuts.  Every node's LP
-        is feasible (the leader fixings leave p sites open), so an LP
+        "certified", "branch", "dominated", "timeout"; after "certified"
+        and "branch" separation found nothing fresh at the point.  The loop
+        has one stopping rule: a round that installs no fresh cut returns.
+        Every other round installs a cut the registry has not seen, and
+        each family is finite (SF: follower choice and prefix set, GSF:
+        follower choice and anchor vector, EF: follower choice), so the
+        loop ends; the time limit is checked on every round.  Every node's
+        LP is feasible (the leader fixings leave p sites open), so an LP
         status other than "optimal" raises RuntimeError.
         """
-        cap = ROOT_SEP_ROUNDS if is_root else SEP_ROUNDS
-        frac_rounds = 0
         while True:
             res = lp_solve(self.model)
             if res.status != "optimal":
@@ -243,10 +243,6 @@ class _Search:
             fresh = self.install(self.separate(pt))
             if fresh == 0:
                 return ("certified" if pt.integral else "branch"), obj, pt
-            if not pt.integral:
-                frac_rounds += 1
-                if frac_rounds >= cap:
-                    return "round_cap", obj, pt  # solve branches at the last point
 
 
 def _dominated(bound: float, lb: float, gap_tol: float) -> bool:
@@ -264,15 +260,17 @@ def _exact_value(inst: Instance, x) -> float:
     return value
 
 
-def _emit(events, payload: dict):
+def _emit(events, t0: float, event: str, **fields):
+    """Write one JSON line: the event, its time t in seconds since t0 (the
+    start of the solve), then the fields."""
     if events is not None:
-        events.write(json.dumps(payload) + "\n")
+        events.write(json.dumps({"event": event, "t": time.perf_counter() - t0, **fields}) + "\n")
 
 
-def _finish(report: SolveReport, events) -> SolveReport:
+def _finish(report: SolveReport, events, t0: float) -> SolveReport:
     """Close the event log with the solve's "done" event; returns report."""
     objective = None if math.isnan(report.objective) else report.objective
-    _emit(events, {"event": "done", "objective": objective, "bound": report.upper_bound, "nodes": report.nodes, "cuts": report.cuts, "status": report.status})
+    _emit(events, t0, "done", objective=objective, bound=report.upper_bound, nodes=report.nodes, cuts=report.cuts, status=report.status)
     return report
 
 
@@ -290,7 +288,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         x = indicator(inst.n, range(inst.n))
         val = _exact_value(inst, x)
         dt = time.perf_counter() - t0
-        return _finish(SolveReport(cfg.formulation, val, x, val, 0.0, 0, 0, 0.0, dt, val, 0.0, "optimal"), events)
+        return _finish(SolveReport(cfg.formulation, val, x, val, 0.0, 0, 0, 0.0, dt, val, 0.0, "optimal"), events, t0)
 
     search = _Search(inst, cfg)
     n = inst.n
@@ -313,27 +311,25 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             status = "limit"
             break
         processed += 1
-        is_root = processed == 1
 
         search.model.lower[1 : 1 + n] = 0.0
         search.model.upper[1 : 1 + n] = 1.0
         search.model.upper[[1 + j for j in fix0]] = 0.0
         search.model.lower[[1 + j for j in fix1]] = 1.0
-        outcome, obj, pt = search.cut_loop(is_root, lb)
+        outcome, obj, pt = search.cut_loop(lb)
 
-        if is_root:
+        if processed == 1:
             root_bound = obj
         _emit(
             events,
-            {
-                "event": "node",
-                "processed": processed,
-                "outcome": outcome,
-                "bound": obj,
-                "incumbent": None if lb == -math.inf else lb,
-                "open": len(heap),
-                "cuts": search.cuts,
-            },
+            t0,
+            "node",
+            processed=processed,
+            outcome=outcome,
+            bound=obj,
+            incumbent=None if lb == -math.inf else lb,
+            open=len(heap),
+            cuts=search.cuts,
         )
 
         if outcome == "dominated":
@@ -379,7 +375,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         rg,
         status,
     )
-    return _finish(report, events)
+    return _finish(report, events, t0)
 
 
 def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float):
@@ -390,5 +386,5 @@ def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float):
         val = _exact_value(inst, x)
         return val, 0.0
     search = _Search(inst, cfg)
-    _, obj, _ = search.cut_loop(is_root=True, lb=-math.inf)
+    _, obj, _ = search.cut_loop(-math.inf)
     return obj, (obj - true_opt) / true_opt * 100.0

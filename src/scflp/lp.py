@@ -32,7 +32,7 @@ recomputed once from a fresh factorization of the same basis
 (``setBasis(getBasis())``, then ``run``): the updated factorization can
 drift along a long chain of warm starts, and the refactor takes no
 iterations.  If the point still fails, the solve reports status
-"iteration_limit".
+"iteration_limit".  A non-finite objective raises ValueError at the solve.
 
 HiGHS is driven through scipy's private ``scipy.optimize._highspy._core._Highs``
 class because the public ``linprog`` builds a fresh model on every call and
@@ -94,7 +94,8 @@ highs_core = _load_highs_core()
 
 _MS = highs_core.HighsModelStatus
 _STATUS = {_MS.kOptimal: "optimal", _MS.kInfeasible: "infeasible", _MS.kUnbounded: "unbounded"}
-# simplex strategy 1 is serial dual simplex
+# simplex strategy 1 is serial dual simplex; allow_unbounded_or_infeasible
+# stays off (HiGHS's default), so HiGHS decides infeasible vs unbounded itself
 _OPTIONS = {"output_flag": False, "threads": 1, "solver": "simplex", "simplex_strategy": 1, "presolve": "off"}
 _SENSES = ("<=", ">=", "=")
 _BS = highs_core.HighsBasisStatus
@@ -105,7 +106,7 @@ class LpModel:
     """Dense-column maximization LP with mutable variable bounds."""
 
     def __init__(self, objective, lower, upper):
-        self.objective = np.asarray(objective, dtype=float)
+        self.objective = np.asarray(objective, dtype=float).copy()
         self.lower = np.asarray(lower, dtype=float).copy()
         self.upper = np.asarray(upper, dtype=float).copy()
         self.ncols = self.objective.size
@@ -250,7 +251,13 @@ class LpModel:
     def _sync(self):
         """Bring the HiGHS instance up to date with the model: append the
         rows added since the last solve, push column bounds and objective,
-        then pass HiGHS a basis given to set_basis."""
+        then pass HiGHS a basis given to set_basis.  A non-finite objective
+        raises ValueError before anything is pushed."""
+        obj = self.objective
+        if not math.isfinite(obj @ obj):  # also on overflow: the search decides
+            bad = np.flatnonzero(~np.isfinite(obj))
+            if bad.size:
+                raise ValueError(f"column {bad[0]} has a non-finite objective coefficient")
         if self._highs is None:
             self._highs = highs_core._Highs()
             for key, value in _OPTIONS.items():
@@ -308,12 +315,6 @@ def lp_solve(model: LpModel) -> LpResult:
     verdict = highs.getModelStatus()
     message = highs.modelStatusToString(verdict)
     status = _STATUS.get(verdict, "iteration_limit")  # time and iteration limits, solver errors
-    if verdict == _MS.kUnboundedOrInfeasible:
-        # Decide by primal feasibility: a zero objective cannot be unbounded.
-        # The next solve pushes the real objective back.
-        highs.changeColsCost(model.ncols, model._cols, np.zeros(model.ncols))
-        highs.run()
-        status = {_MS.kOptimal: "unbounded", _MS.kInfeasible: "infeasible"}.get(highs.getModelStatus(), status)
     if status != "optimal":
         return LpResult(status, float("nan"), None, float("inf"), message)
     x, viol = _primal(model, highs)

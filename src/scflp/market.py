@@ -89,7 +89,7 @@ def response_costs(inst: Instance, x) -> RMedianInstance:
     return RMedianInstance(cost=a, w=inst.w, r=inst.r)
 
 
-def follower_best_response(inst: Instance, x, mode: str = "rmedian", enum_cap: int = 2_000_000, start=()):
+def follower_best_response(inst: Instance, x, mode: str = "rmedian", start=()):
     """Minimize the leader share over follower choices; returns (y, value).
 
     ``rmedian`` solves the cost reduction exactly with the branch-and-bound
@@ -100,7 +100,7 @@ def follower_best_response(inst: Instance, x, mode: str = "rmedian", enum_cap: i
     """
     rm = response_costs(inst, x)
     if mode == "enumerate":
-        sites, value = rmedian_enumerate(rm, cap=enum_cap)
+        sites, value = rmedian_enumerate(rm)
     elif mode == "rmedian":
         sites, value, status = rmedian_solve(rm, start=start)
         if status != "optimal":

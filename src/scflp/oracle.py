@@ -24,6 +24,10 @@ from .market import compute_cy, indicator
 from .rmedian import CapExceededError
 
 TIE_TOL = 1e-12
+_PAIR_CAP = 10_000_000  # leader/follower pairs brute_force_solve evaluates
+_ROW_CAP = 200_000  # SF rows full_lp_value writes out
+_Y_CAP = 100_000  # follower choices full_lp_value enumerates
+_ELL_CAP = 100_000  # anchor vectors per follower choice in enumerate_gsf_value
 
 
 @dataclass(frozen=True)
@@ -43,11 +47,11 @@ def _follower_tables(inst: Instance):
     return combos, vy
 
 
-def brute_force_solve(inst: Instance, cap: int = 10_000_000, collect_responses: bool = False) -> OracleReport:
+def brute_force_solve(inst: Instance, collect_responses: bool = False) -> OracleReport:
     """Exhaustive max-min enumeration; ties on the max side are collected."""
     pairs = math.comb(inst.n, inst.p) * math.comb(inst.n, inst.r)
-    if pairs > cap:
-        raise CapExceededError(f"{pairs} pair evaluations exceed cap {cap}")
+    if pairs > _PAIR_CAP:
+        raise CapExceededError(f"{pairs} pair evaluations exceed cap {_PAIR_CAP}")
     y_combos, vy = _follower_tables(inst)
     w = inst.w
     best = -math.inf
@@ -88,20 +92,15 @@ def _explicit_value(inst: Instance, formulation: str, cuts) -> float:
     return res.objective
 
 
-def full_lp_value(
-    inst: Instance,
-    formulation: str,
-    row_cap: int = 200_000,
-    y_cap: int = 100_000,
-) -> float:
+def full_lp_value(inst: Instance, formulation: str) -> float:
     """Exact LP relaxation value of the fully described formulation."""
     n_y = math.comb(inst.n, inst.r)
-    if n_y > y_cap:
-        raise CapExceededError(f"|Y| = {n_y} exceeds cap {y_cap}")
+    if n_y > _Y_CAP:
+        raise CapExceededError(f"|Y| = {n_y} exceeds cap {_Y_CAP}")
     if formulation == "SF":
         total = (2**inst.n) * n_y
-        if total > row_cap:
-            raise CapExceededError(f"SF needs {total} rows, above cap {row_cap}")
+        if total > _ROW_CAP:
+            raise CapExceededError(f"SF needs {total} rows, above cap {_ROW_CAP}")
         subsets = [S for size in range(inst.n + 1) for S in itertools.combinations(range(inst.n), size)]
         cuts = (submodular_cut(inst, y, S) for y in _follower_choices(inst) for S in subsets)
         return _explicit_value(inst, "SF", cuts)
@@ -112,7 +111,7 @@ def full_lp_value(
     # a violation threshold far below EPS_VIOL: the loop stops at the
     # relaxation value, not up to EPS_VIOL above it
     search = _Search(inst, BncConfig(formulation="GSF", eps_viol=1e-10))
-    outcome, obj, _ = search.cut_loop(is_root=True, lb=-math.inf)
+    outcome, obj, _ = search.cut_loop(-math.inf)
     # anchor separation is exact at any point: a loop that stopped with
     # nothing fresh to add has reached the relaxation value
     if outcome not in ("certified", "branch"):
@@ -120,12 +119,12 @@ def full_lp_value(
     return obj
 
 
-def enumerate_gsf_value(inst: Instance, ell_cap: int = 100_000) -> float:
+def enumerate_gsf_value(inst: Instance) -> float:
     """GSF relaxation via the explicit anchor-cut family; cross-check path
     for desk-scale instances ((n+1)^m anchor vectors per follower choice)."""
     n_ell = (inst.n + 1) ** inst.m
-    if n_ell > ell_cap:
-        raise CapExceededError(f"(n+1)^m = {n_ell} exceeds cap {ell_cap}")
+    if n_ell > _ELL_CAP:
+        raise CapExceededError(f"(n+1)^m = {n_ell} exceeds cap {_ELL_CAP}")
 
     def anchor_cuts():
         for y in _follower_choices(inst):

@@ -60,6 +60,8 @@ _ENUM_CHUNK = 4096
 _SUBGRAD_ITERS = 200
 # non-improving subgradient iterations before the step factor halves
 _STALL_ITERS = 10
+# most site sets rmedian_enumerate scans
+_ENUM_CAP = 2_000_000
 
 
 class CapExceededError(RuntimeError):
@@ -142,19 +144,21 @@ def _scan(rm: RMedianInstance, fin: tuple, free, q: int, base: np.ndarray | None
     return best_val, tuple(sorted(fin + tuple(int(s) for s in best)))
 
 
-def rmedian_enumerate(rm: RMedianInstance, cap: int = 2_000_000):
+def rmedian_enumerate(rm: RMedianInstance):
     """Scan all C(n, r) column subsets; ties go to the lexicographically
-    smallest set.  Raises CapExceededError above ``cap`` evaluations."""
+    smallest set.  Raises CapExceededError above ``_ENUM_CAP`` evaluations."""
     total = math.comb(rm.n, rm.r)
-    if total > cap:
-        raise CapExceededError(f"C({rm.n}, {rm.r}) = {total} exceeds cap {cap}")
+    if total > _ENUM_CAP:
+        raise CapExceededError(f"C({rm.n}, {rm.r}) = {total} exceeds cap {_ENUM_CAP}")
     best_val, best_sites = _scan(rm, (), range(rm.n), rm.r, None)
     return np.array(best_sites, dtype=int), best_val
 
 
 def _greedy_swap(rm: RMedianInstance):
     """Greedy construction followed by first-improvement 1-swaps; every
-    step scores all candidate sites in one evaluator call."""
+    step scores all candidate sites in one evaluator call.  Every accepted
+    swap lowers the value by more than 1e-15, so no site set comes back and
+    the swaps end."""
     n, r = rm.n, rm.r
     is_open = np.zeros(n, dtype=bool)
     base = None
@@ -166,10 +170,8 @@ def _greedy_swap(rm: RMedianInstance):
     chosen = np.flatnonzero(is_open).tolist()
     best_val = set_value(rm, chosen)
     improved = True
-    rounds = 0
-    while improved and rounds < 4 * n:
+    while improved:
         improved = False
-        rounds += 1
         outside = np.flatnonzero(~is_open)
         for a in chosen:
             rest = [k for k in chosen if k != a]
@@ -186,17 +188,15 @@ def _greedy_swap(rm: RMedianInstance):
     return tuple(chosen), best_val
 
 
-def _lagrangian_bound(
-    t: np.ndarray, n_forced: int, q: int, ub: float, iters: int, u: np.ndarray | None = None
-) -> float:
+def _lagrangian_bound(t: np.ndarray, n_forced: int, q: int, ub: float, iters: int, u: np.ndarray) -> float:
     """Lower bound for choosing q of the free columns (the forced columns
     occupy t[:, :n_forced]).  Valid for any multiplier vector; subgradient
     ascent with Polyak steps toward ``ub`` sharpens it, and stops once the
-    bound would prune against ``ub``.  A given ``u`` is the starting point
-    and receives the best multipliers found; the default start is the
-    trivial row-minimum bound."""
+    bound would prune against ``ub``.  ``u`` is the starting point (the row
+    minima of t give the trivial bound) and receives the best multipliers
+    found."""
     target = ub + _tol(ub)
-    cur = t.min(axis=1) if u is None else u
+    cur = u
     best, best_u = -math.inf, cur
     mu = 2.0
     stall = 0
@@ -224,8 +224,7 @@ def _lagrangian_bound(
         if gnorm < 1e-16:
             break
         cur = cur + (mu * (target - val) / gnorm) * g
-    if u is not None:
-        u[:] = best_u
+    u[:] = best_u
     return best
 
 

@@ -134,6 +134,46 @@ def test_event_log_json_lines(golden):
     assert lines[-1]["objective"] == pytest.approx(4 / 3, abs=1e-9)
 
 
+NODE_KEYS = {"event", "t", "processed", "outcome", "bound", "incumbent", "open", "cuts"}
+DONE_KEYS = {"event", "t", "objective", "bound", "nodes", "cuts", "status"}
+
+
+def _event_lines(inst, cfg):
+    """The report and the parsed event lines of one solve; checks every
+    line's key set and that t never falls."""
+    buf = io.StringIO()
+    rep = solve(inst, cfg, events=buf)
+    *nodes, done = (json.loads(line) for line in buf.getvalue().splitlines())
+    assert set(done) == DONE_KEYS and done["event"] == "done"
+    for e in nodes:
+        assert set(e) == NODE_KEYS and e["event"] == "node"
+        assert e["outcome"] in ("certified", "branch", "dominated", "timeout")
+    times = [e["t"] for e in (*nodes, done)]
+    assert 0.0 <= times[0] and all(a <= b for a, b in zip(times, times[1:]))
+    return rep, nodes, done
+
+
+@pytest.mark.parametrize("form", ["SF", "GSF", "EF"])
+def test_event_log_schema(form, monkeypatch):
+    """One "node" line per processed node, then one "done" line, each with
+    a fixed key set; t, the seconds since solve began, never falls.  The
+    p == n short-circuit and a solve stopped by the clock write the same
+    lines."""
+    inst = generate_instance(GeneratorParams("biesinger", m=12, n=12, p=3, r=2, seed=7))
+    rep, nodes, done = _event_lines(inst, BncConfig(formulation=form))
+    assert len(nodes) == rep.nodes + 1 and done["status"] == "optimal"
+    assert {e["outcome"] for e in nodes} == {"certified", "branch", "dominated"}
+
+    every_site = random_instance(np.random.default_rng(29), m=3, n=3, p=3, r=2)
+    _, nodes, done = _event_lines(every_site, BncConfig(formulation=form))
+    assert nodes == [] and done["status"] == "optimal"
+
+    calls = itertools.count()  # the clock runs out inside the root's cut loop
+    monkeypatch.setattr(bnc._Search, "out_of_time", lambda self: next(calls) > 0)
+    _, nodes, done = _event_lines(inst, BncConfig(formulation=form))
+    assert [e["outcome"] for e in nodes] == ["timeout"] and done["status"] == "limit"
+
+
 def test_report_csv_row_shape(golden):
     rep = solve(golden, BncConfig(formulation="GSF"))
     row = rep.csv_row("golden")

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from scflp.bnc import add_cut_row, build_model
 from scflp.cuts import ef_cut, improved_cut, submodular_cut
-from scflp.lp import LpModel, lp_solve
+from scflp.lp import LpModel, highs_core, lp_solve
 
 from conftest import golden_instance
 from lp_rows import lp_rows
@@ -55,13 +55,13 @@ def test_infeasible_and_unbounded_status():
 
 
 def test_unbounded_or_infeasible_verdict_is_settled():
-    """HiGHS may stop at "unbounded or infeasible"; the backend settles it
-    by primal feasibility instead of guessing either status."""
+    """Free columns that leave a warm-started LP infeasible or unbounded:
+    HiGHS decides which one itself, and once the columns are bounded the
+    next solve is optimal on the model's costs."""
     for rhs, expected in ((-1.0, "infeasible"), (1.0, "unbounded")):
         model = LpModel([1.0, 1.0], [-np.inf, -np.inf], [np.inf, np.inf])
         model.add_row({0: 1.0, 1: -1.0}, "<=", -1.0)
         assert lp_solve(model).status == "unbounded"
-        model._highs.setOptionValue("allow_unbounded_or_infeasible", True)
         model.add_row({0: -1.0, 1: 1.0}, "<=", rhs)
         assert lp_solve(model).status == expected
         model.add_row({0: 1.0}, "<=", 5.0)
@@ -69,7 +69,7 @@ def test_unbounded_or_infeasible_verdict_is_settled():
         res = lp_solve(model)
         if expected == "infeasible":
             assert res.status == "infeasible"
-        else:  # the settling solve zeroed the costs; the next solve restores them
+        else:
             assert res.status == "optimal"
             assert res.objective == pytest.approx(10.0 - rhs, abs=1e-9)
 
@@ -322,6 +322,45 @@ def test_non_finite_row_data_rejected_at_append():
     assert res.status == "optimal" and res.objective == pytest.approx(2.0, abs=1e-12)
 
 
+def test_highs_never_answers_unbounded_or_infeasible():
+    """lp_solve maps HiGHS's verdicts optimal, infeasible and unbounded and
+    reports any other as not optimal; the option that lets HiGHS answer
+    "unbounded or infeasible" instead stays off."""
+    model = LpModel([1.0], [0.0], [1.0])
+    assert lp_solve(model).status == "optimal"
+    assert model._highs.getOptionValue("allow_unbounded_or_infeasible") == (highs_core.HighsStatus.kOk, False)
+
+
+def test_non_finite_objective_refused_at_solve():
+    """A nan or infinite cost used to be solved as "optimal" with objective
+    nan or inf.  The solve raises, naming the first non-finite column, and
+    solves normally once the objective is finite again."""
+    for bad in (np.nan, np.inf, -np.inf):
+        model = LpModel([bad, 1.0], [0.0, 0.0], [1.0, 1.0])
+        model.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
+        with pytest.raises(ValueError, match="column 0 has a non-finite objective"):
+            lp_solve(model)
+        model.objective[0] = 2.0
+        res = lp_solve(model)
+        assert res.status == "optimal" and res.objective == pytest.approx(2.0, abs=1e-12)
+        model.objective[1] = bad  # changed in place between warm solves
+        with pytest.raises(ValueError, match="column 1 has a non-finite objective"):
+            lp_solve(model)
+        model.objective[1] = 3.0
+        res = lp_solve(model)
+        assert res.status == "optimal" and res.objective == pytest.approx(3.0, abs=1e-12)
+
+
+def test_model_keeps_its_own_objective():
+    """Changing the caller's objective array afterwards does not change
+    what the model solves."""
+    obj = np.array([1.0, 2.0])
+    model = LpModel(obj, [0.0, 0.0], [1.0, 1.0])
+    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
+    obj[0] = 5.0
+    assert lp_solve(model).objective == pytest.approx(2.0, abs=1e-12)
+
+
 def test_repeated_column_rejected_at_append():
     """A row naming one column twice used to be accepted, and then every
     later solve of the model failed in HiGHS's addRows.  It is refused at
@@ -447,13 +486,12 @@ def test_bound_fix_and_restore_solves_like_a_fresh_model():
 
 
 def test_normal_solve_after_an_unbounded_or_infeasible_verdict():
-    """The zero-cost settling solve leaves HiGHS with other costs than the
-    model's; the next solve must run on the model's costs although the
-    model's objective did not change."""
+    """An LP that is infeasible with unbounded free columns: HiGHS decides
+    "infeasible" itself, and the next solve, with the bounds changed and
+    the objective not, runs on the model's costs."""
     model = LpModel([1.0, 2.0, 0.0], [-np.inf, -np.inf, 0.0], [np.inf, np.inf, 1.0])
     model.add_row({0: 1.0, 1: -1.0}, "<=", -1.0)
     assert lp_solve(model).status == "unbounded"
-    model._highs.setOptionValue("allow_unbounded_or_infeasible", True)
     model.add_row({2: 1.0}, ">=", 2.0)  # x2 <= 1: infeasible, and x0, x1 unbounded
     assert lp_solve(model).status == "infeasible"
     model.lower[:] = (-3.0, -3.0, 0.0)

@@ -138,9 +138,9 @@ def test_best_response_enumeration_cap():
     from scflp.rmedian import CapExceededError
 
     rng = np.random.default_rng(53)
-    inst = random_instance(rng, m=3, n=8, p=2, r=4)
-    with pytest.raises(CapExceededError):
-        follower_best_response(inst, random_choice(rng, 8, 2), mode="enumerate", enum_cap=5)
+    inst = random_instance(rng, m=3, n=30, p=2, r=15)
+    with pytest.raises(CapExceededError, match=r"C\(30, 15\) = 155117520 exceeds cap"):
+        follower_best_response(inst, random_choice(rng, 30, 2), mode="enumerate")
 
 
 def test_response_costs_match_share_identity():

@@ -51,9 +51,10 @@ def test_response_map_matches_best_response():
         assert tuple(y) == tuple(ybits)
 
 
-def test_pair_cap_enforced(golden):
-    with pytest.raises(CapExceededError):
-        brute_force_solve(golden, cap=1)
+def test_pair_cap_enforced():
+    inst = random_instance(np.random.default_rng(2), m=2, n=30, p=15, r=15)
+    with pytest.raises(CapExceededError, match="pair evaluations exceed cap"):
+        brute_force_solve(inst)
 
 
 def test_full_lp_goldens(golden):
@@ -83,23 +84,25 @@ def test_relaxation_ordering_on_random_instances():
         assert gsf <= sf + 1e-9
 
 
-def test_full_lp_caps(golden):
-    with pytest.raises(CapExceededError):
-        full_lp_value(golden, "SF", row_cap=3)
-    with pytest.raises(CapExceededError):
-        full_lp_value(golden, "GSF", y_cap=0)
-    with pytest.raises(CapExceededError):
-        enumerate_gsf_value(golden, ell_cap=3)
+def test_full_lp_caps():
+    """Each cap refuses an instance too large for it before any work."""
+    rng = np.random.default_rng(4)
+    with pytest.raises(CapExceededError, match="SF needs 1048576 rows"):
+        full_lp_value(random_instance(rng, m=2, n=16, p=2, r=1), "SF")
+    with pytest.raises(CapExceededError, match=r"\|Y\| = 184756"):
+        full_lp_value(random_instance(rng, m=2, n=20, p=2, r=10), "GSF")
+    with pytest.raises(CapExceededError, match=r"\(n\+1\)\^m = 1000000"):
+        enumerate_gsf_value(random_instance(rng, m=6, n=9, p=2, r=2))
 
 
-def test_gsf_value_refuses_a_loop_stopped_by_its_round_cap(monkeypatch):
-    """At the round cap the cut loop has just added cuts, so its objective
-    is not yet the relaxation value: full_lp_value raises instead."""
+def test_gsf_value_refuses_a_loop_stopped_by_the_clock(monkeypatch):
+    """A cut loop stopped by the time limit has not reached the relaxation
+    value: full_lp_value raises instead of returning its objective."""
     from scflp import bnc
 
     rng = np.random.default_rng(13)
     inst = [random_instance(rng, m=3, n=5) for _ in range(3)][-1]
     assert full_lp_value(inst, "GSF") == pytest.approx(9.5, abs=1e-9)
-    monkeypatch.setattr(bnc, "ROOT_SEP_ROUNDS", 1)
-    with pytest.raises(RuntimeError, match="round_cap"):
+    monkeypatch.setattr(bnc._Search, "out_of_time", lambda self: True)
+    with pytest.raises(RuntimeError, match="timeout"):
         full_lp_value(inst, "GSF")

@@ -42,8 +42,8 @@ def test_zero_cost_column_gives_zero_optimum():
 
 def test_enumeration_cap():
     rm = RMedianInstance(cost=np.ones((2, 30)), w=np.ones(2), r=15)
-    with pytest.raises(CapExceededError):
-        rmedian_enumerate(rm, cap=1000)
+    with pytest.raises(CapExceededError, match=r"C\(30, 15\) = 155117520 exceeds cap"):
+        rmedian_enumerate(rm)
 
 
 def test_solver_matches_enumeration_on_random_instances():
@@ -106,7 +106,8 @@ def test_lagrangian_bound_is_valid():
         w = rng.uniform(0.5, 3.0, size=m)
         rm = RMedianInstance(cost=cost, w=w, r=r)
         _, opt = rmedian_enumerate(rm)
-        bound = _lagrangian_bound(w[:, None] * cost, 0, r, ub=opt, iters=30)
+        t = w[:, None] * cost
+        bound = _lagrangian_bound(t, 0, r, ub=opt, iters=30, u=t.min(axis=1))
         assert bound <= opt + 1e-9 * (1 + abs(opt))
 
 
