@@ -29,7 +29,7 @@ from .instance import Instance
 from .lp import LpModel, lp_solve
 from .market import follower_best_response, indicator, response_costs
 from .separation import FollowerPool, RelaxPoint, separate_ef, separate_gsf, separate_sf
-from .tolerances import EPS_VIOL, INT_TOL, at_most
+from .tolerances import EPS_VIOL, at_most
 
 FORMULATIONS = ("SF", "GSF", "EF")
 
@@ -162,6 +162,7 @@ class _Search:
     """Shared state of one branch-and-cut run."""
 
     def __init__(self, inst: Instance, cfg: BncConfig):
+        self.t0 = time.perf_counter()  # the solve's one clock; model building counts against the limit
         self.inst = inst
         self.cfg = cfg
         self.model = build_model(inst, cfg.formulation)
@@ -169,13 +170,9 @@ class _Search:
         self.registry: set[tuple] = set()
         self.cuts = 0
         self.sep_time = 0.0
-        self.t0 = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0
 
     def out_of_time(self) -> bool:
-        return self.elapsed() > self.cfg.time_limit
+        return time.perf_counter() - self.t0 > self.cfg.time_limit
 
     def point(self, res) -> RelaxPoint:
         n = self.inst.n
@@ -255,11 +252,6 @@ def _gap_pruned(gap_bound: float, bound: float, lb: float) -> float:
     return gap_bound if at_most(bound, lb) else max(gap_bound, bound)
 
 
-def _exact_value(inst: Instance, x) -> float:
-    _, value = follower_best_response(inst, x, mode="rmedian")
-    return value
-
-
 def _emit(events, t0: float, event: str, **fields):
     """Write one JSON line: the event, its time t in seconds since t0 (the
     start of the solve), then the fields."""
@@ -267,37 +259,27 @@ def _emit(events, t0: float, event: str, **fields):
         events.write(json.dumps({"event": event, "t": time.perf_counter() - t0, **fields}) + "\n")
 
 
-def _finish(report: SolveReport, events, t0: float) -> SolveReport:
-    """Close the event log with the solve's "done" event; returns report."""
-    objective = None if math.isnan(report.objective) else report.objective
-    _emit(events, t0, "done", objective=objective, bound=report.upper_bound, nodes=report.nodes, cuts=report.cuts, status=report.status)
-    return report
-
-
 def _most_fractional(x: np.ndarray) -> int:
-    frac = 0.5 - np.abs(x - 0.5)
-    frac[np.abs(x - np.round(x)) <= INT_TOL] = -1.0
-    return int(np.argmax(frac))
+    """The coordinate farthest from an integer.  At a point that is not
+    ``RelaxPoint.integral`` it lies more than INT_TOL from one, so no
+    integral coordinate can win."""
+    return int(np.argmax(0.5 - np.abs(x - 0.5)))
 
 
 def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
     """Run the branch-and-cut search; see the module docstring."""
-    t0 = time.perf_counter()
-
-    if inst.p == inst.n:  # single leader choice
-        x = indicator(inst.n, range(inst.n))
-        val = _exact_value(inst, x)
-        dt = time.perf_counter() - t0
-        return _finish(SolveReport(cfg.formulation, val, x, val, 0.0, 0, 0, 0.0, dt, val, 0.0, "optimal"), events, t0)
-
     search = _Search(inst, cfg)
+    t0 = search.t0
     n = inst.n
     lb, best_x = -math.inf, None
     gap_bound = -math.inf  # largest bound of a node dropped only by the gap tolerance
     root_bound = math.nan
-    status = "optimal"
     counter = itertools.count()
     heap = [(-inst.total_demand, next(counter), frozenset(), frozenset())]
+    if inst.p == n:  # single leader choice: its exact value is the optimum
+        best_x = indicator(n, range(n))
+        _, lb = search.best_response(best_x)
+        root_bound, heap = lb, []
     processed = 0
 
     while heap:
@@ -308,7 +290,6 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             continue
         if search.out_of_time():
             heapq.heappush(heap, (neg_bound, next(counter), fix0, fix1))
-            status = "limit"
             break
         processed += 1
 
@@ -337,7 +318,6 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             continue
         if outcome == "timeout":
             heapq.heappush(heap, (-obj, next(counter), fix0, fix1))
-            status = "limit"
             break
         if outcome == "certified":
             xint = np.round(pt.x).astype(np.int8)
@@ -353,14 +333,15 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             if len(child1) <= inst.p and n - len(child0) >= inst.p:
                 heapq.heappush(heap, (-obj, next(counter), child0, child1))
 
+    # a stop on the clock pushes back a node that is not dominated, and
+    # gap_tol may drop one: either leaves ub above the incumbent
     ub = max(lb, gap_bound, *(-hb for hb, *_ in heap))
     gap = 0.0 if ub == lb else (ub - lb) / ub * 100.0 if ub > 0 else math.inf
     objective = lb if best_x is not None else math.nan
-    status = status if at_most(ub, objective) else "limit"  # gap_tol may stop short of a proof
+    status = "optimal" if at_most(ub, objective) else "limit"
     rg = math.nan
     if best_x is not None and objective > 0 and not math.isnan(root_bound):
         rg = (root_bound - objective) / objective * 100.0
-    dt = time.perf_counter() - t0
     report = SolveReport(
         cfg.formulation,
         objective,
@@ -370,21 +351,21 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
         max(processed - 1, 0),
         search.cuts,
         search.sep_time,
-        dt,
+        time.perf_counter() - t0,
         root_bound,
         rg,
         status,
     )
-    return _finish(report, events, t0)
+    _emit(events, t0, "done", objective=None if best_x is None else objective, bound=ub, nodes=report.nodes, cuts=report.cuts, status=status)
+    return report
 
 
 def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float):
     """Run the cut loop at the root only; returns (bound, root gap %), the
     gap being (bound - true_opt) / true_opt * 100."""
-    if inst.p == inst.n:
-        x = indicator(inst.n, range(inst.n))
-        val = _exact_value(inst, x)
-        return val, 0.0
     search = _Search(inst, cfg)
+    if inst.p == inst.n:
+        _, val = search.best_response(indicator(inst.n, range(inst.n)))
+        return val, 0.0
     _, obj, _ = search.cut_loop(-math.inf)
     return obj, (obj - true_opt) / true_opt * 100.0

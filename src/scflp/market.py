@@ -60,17 +60,6 @@ def leader_share(inst: Instance, x, y) -> float:
     return share_of_set(compute_cy(inst, y), inst.w, open_sites(x))
 
 
-def follower_share(inst: Instance, x, y) -> float:
-    """Follower market share; complements leader_share to sum(w)."""
-    xs = open_sites(x)
-    ys = open_sites(y)
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("both players must open at least one site")
-    vx = inst.v[:, xs].max(axis=1)
-    vy = inst.v[:, ys].max(axis=1)
-    return float(inst.w @ (vy / (vx + vy)))
-
-
 def response_costs(inst: Instance, x) -> RMedianInstance:
     """r-median reduction of the follower's best response to integral x.
 

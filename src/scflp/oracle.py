@@ -5,7 +5,8 @@ problem.  ``full_lp_value`` evaluates the LP relaxation of a formulation
 with its cut family fully described: explicit rows for SF and EF, and for
 GSF the solver's own root cut loop, whose anchor-cut separation is exact at
 every point, run to convergence.  Neither is built for speed; caps are
-explicit and exceeding one raises instead of truncating.
+explicit and exceeding one raises instead of truncating.  The explicit
+anchor-cut family of GSF is ``verify.enumerate_gsf_value``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnc import BncConfig, _Search, add_cut_row, build_model
-from .cuts import ef_cut, improved_cut, submodular_cut
+from .cuts import ef_cut, submodular_cut
 from .instance import Instance
 from .lp import lp_solve
 from .market import compute_cy, indicator
@@ -27,51 +28,45 @@ TIE_TOL = 1e-12
 _PAIR_CAP = 10_000_000  # leader/follower pairs brute_force_solve evaluates
 _ROW_CAP = 200_000  # SF rows full_lp_value writes out
 _Y_CAP = 100_000  # follower choices full_lp_value enumerates
-_ELL_CAP = 100_000  # anchor vectors per follower choice in enumerate_gsf_value
 
 
 @dataclass(frozen=True)
 class OracleReport:
     value: float
     optimal_x: list  # all maximizing leader choices, lexicographic order
-    responses: dict | None = None  # x bits -> (y bits, value), when requested
 
 
-def _follower_tables(inst: Instance):
-    """Stack max attractiveness per follower choice: (|Y|, m) array plus
-    the choice list in lexicographic order."""
+def _follower_table(inst: Instance) -> np.ndarray:
+    """Max attractiveness per follower choice, choices in lexicographic
+    order: a (|Y|, m) array."""
     combos = list(itertools.combinations(range(inst.n), inst.r))
     vy = np.empty((len(combos), inst.m))
     for t, combo in enumerate(combos):
         vy[t] = inst.v[:, combo].max(axis=1)
-    return combos, vy
+    return vy
 
 
-def brute_force_solve(inst: Instance, collect_responses: bool = False) -> OracleReport:
+def brute_force_solve(inst: Instance) -> OracleReport:
     """Exhaustive max-min enumeration; ties on the max side are collected."""
     pairs = math.comb(inst.n, inst.p) * math.comb(inst.n, inst.r)
     if pairs > _PAIR_CAP:
         raise CapExceededError(f"{pairs} pair evaluations exceed cap {_PAIR_CAP}")
-    y_combos, vy = _follower_tables(inst)
+    vy = _follower_table(inst)
     w = inst.w
     best = -math.inf
     ties: list[tuple] = []
-    responses = {} if collect_responses else None
     for x_combo in itertools.combinations(range(inst.n), inst.p):
         ci = inst.v[:, x_combo].max(axis=1)
         g = (ci[None, :] / (ci[None, :] + vy)) @ w
         t = int(np.argmin(g))  # first minimizer = lexicographically smallest y
         val = float(g[t])
-        if responses is not None:
-            xbits = tuple(indicator(inst.n, x_combo))
-            responses[xbits] = (indicator(inst.n, y_combos[t]), val)
         if val > best + TIE_TOL * (1.0 + abs(val)):
             best = val
             ties = [x_combo]
         elif val >= best - TIE_TOL * (1.0 + abs(best)):
             ties.append(x_combo)
     optimal_x = [indicator(inst.n, combo) for combo in ties]
-    return OracleReport(value=best, optimal_x=optimal_x, responses=responses)
+    return OracleReport(value=best, optimal_x=optimal_x)
 
 
 def _follower_choices(inst: Instance):
@@ -102,8 +97,13 @@ def full_lp_value(inst: Instance, formulation: str) -> float:
         if total > _ROW_CAP:
             raise CapExceededError(f"SF needs {total} rows, above cap {_ROW_CAP}")
         subsets = [S for size in range(inst.n + 1) for S in itertools.combinations(range(inst.n), size)]
-        cuts = (submodular_cut(inst, y, S) for y in _follower_choices(inst) for S in subsets)
-        return _explicit_value(inst, "SF", cuts)
+
+        def classic_cuts():
+            for y in _follower_choices(inst):
+                cy = compute_cy(inst, y)
+                yield from (submodular_cut(inst, y, S, cy) for S in subsets)
+
+        return _explicit_value(inst, "SF", classic_cuts())
     if formulation == "EF":
         return _explicit_value(inst, "EF", (ef_cut(inst, y) for y in _follower_choices(inst)))
     if formulation != "GSF":
@@ -118,18 +118,3 @@ def full_lp_value(inst: Instance, formulation: str) -> float:
         raise RuntimeError(f"GSF row generation failed to converge ({outcome})")
     return obj
 
-
-def enumerate_gsf_value(inst: Instance) -> float:
-    """GSF relaxation via the explicit anchor-cut family; cross-check path
-    for desk-scale instances ((n+1)^m anchor vectors per follower choice)."""
-    n_ell = (inst.n + 1) ** inst.m
-    if n_ell > _ELL_CAP:
-        raise CapExceededError(f"(n+1)^m = {n_ell} exceeds cap {_ELL_CAP}")
-
-    def anchor_cuts():
-        for y in _follower_choices(inst):
-            cy = compute_cy(inst, y)
-            for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
-                yield improved_cut(inst, y, np.array(ell), cy)
-
-    return _explicit_value(inst, "GSF", anchor_cuts())

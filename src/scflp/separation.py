@@ -133,7 +133,7 @@ def separate_sf(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> li
     inst = pool.inst
     x = np.asarray(pt.x)
     if pt.integral:
-        support = (np.floor(x + 0.5) > 0.5).nonzero()[0].tolist()  # the open set
+        support = open_sites(x)  # the rounded point's open set, as response_costs reads it
         return _separate(pt, pool, eps, lambda y, cy: submodular_cut(inst, y, support, cy), lambda: response_costs(inst, x))
     cols = (x > 0.0).nonzero()[0]
     order = cols[np.argsort(-x[cols], kind="stable")]  # descending x, ties by index

@@ -12,7 +12,9 @@ happen: the per-customer aggregation can be strictly looser than the
 true hull at fractional points, with no effect on solver exactness).
 
 ``verify_prop61`` cross-checks the anchor-cut separation reduction
-against a literal minimization over all anchor vectors, and
+against a literal minimization over all anchor vectors,
+``enumerate_gsf_value`` solves the GSF relaxation over the explicit
+anchor-cut family, and
 ``verify_aggregation`` confirms that one shared allocation block is as
 tight as one block per follower choice and that the prefix-greedy
 allocation is LP-optimal.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnc import add_cut_row, add_eta_row, add_linking_rows
+from .bnc import add_cut_row, add_eta_row, add_linking_rows, build_model
 from .cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut, tight_ell
 from .instance import Instance
 from .lp import LpModel, lp_solve
@@ -66,23 +68,23 @@ def _anchor_rows(inst: Instance, y, cy: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _add_anchor_rows(model: LpModel, rows: np.ndarray) -> None:
+    """Append ``_anchor_rows`` rows [constant, xcoef] to a model whose
+    columns start with eta and x, as eta - xcoef.x <= constant: dense rows
+    [1, -xcoef] over (eta, x), whose zeros add_rows drops."""
+    width = rows.shape[1]
+    dense = np.ones_like(rows)
+    np.negative(rows[:, 1:], out=dense[:, 1:])
+    model.add_rows(np.arange(0, dense.size + 1, width), np.tile(np.arange(width), len(rows)), dense.ravel(), "<=", rows[:, 0])
+
+
 def _anchor_polytope(inst: Instance, y) -> LpModel:
     """eta and x columns, every anchor cut for y, unit box, no cardinality row."""
     obj = np.zeros(1 + inst.n)
     lower = np.concatenate(([-np.inf], np.zeros(inst.n)))
     upper = np.concatenate(([np.inf], np.ones(inst.n)))
     model = LpModel(obj, lower, upper)
-    rows = _anchor_rows(inst, y, compute_cy(inst, y))
-    # dense rows [1, -xcoef] over (eta, x); add_rows drops the zeros
-    dense = np.ones_like(rows)
-    np.negative(rows[:, 1:], out=dense[:, 1:])
-    model.add_rows(
-        np.arange(0, dense.size + 1, 1 + inst.n),
-        np.tile(np.arange(1 + inst.n), len(rows)),
-        dense.ravel(),
-        "<=",
-        rows[:, 0],
-    )
+    _add_anchor_rows(model, _anchor_rows(inst, y, compute_cy(inst, y)))
     return model
 
 
@@ -149,6 +151,21 @@ def verify_prop61(inst: Instance, xstar, y) -> float:
     ys = open_sites(y)
     reduced = float(inst.w @ rm.cost[:, ys].min(axis=1))
     return abs(best - reduced)
+
+
+def enumerate_gsf_value(inst: Instance) -> float:
+    """GSF relaxation value over the explicit anchor-cut family: the base
+    GSF model plus all (n+1)^m anchor cuts of every follower choice, in
+    lexicographic order.  Cross-checks ``oracle.full_lp_value``'s row
+    generation at desk scale."""
+    model = build_model(inst, "GSF")
+    for combo in itertools.combinations(range(inst.n), inst.r):
+        y = indicator(inst.n, combo)
+        _add_anchor_rows(model, _anchor_rows(inst, y, compute_cy(inst, y)))
+    res = lp_solve(model)
+    if res.status != "optimal":
+        raise RuntimeError(f"GSF explicit-family LP failed: {res.status}")
+    return res.objective
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,6 +173,56 @@ def test_event_log_schema(form, monkeypatch):
     monkeypatch.setattr(bnc._Search, "out_of_time", lambda self: next(calls) > 0)
     _, nodes, done = _event_lines(inst, BncConfig(formulation=form))
     assert [e["outcome"] for e in nodes] == ["timeout"] and done["status"] == "limit"
+
+
+def test_model_building_counts_against_the_time_limit(monkeypatch):
+    """The solve's one clock starts before the model is built: a build that
+    outlasts the limit ends the solve with status "limit" before the root
+    LP, with no incumbent and the root's cap W as upper bound."""
+    inst = generate_instance(GeneratorParams("biesinger", m=12, n=12, p=3, r=2, seed=7))
+    original = bnc.build_model
+
+    def slow_build(*args):
+        time.sleep(0.2)
+        return original(*args)
+
+    monkeypatch.setattr(bnc, "build_model", slow_build)
+    buf = io.StringIO()
+    rep = solve(inst, BncConfig(formulation="GSF", time_limit=0.1), events=buf)
+    assert rep.status == "limit" and rep.nodes == 0 and rep.cuts == 0
+    assert math.isnan(rep.objective) and rep.best_x is None
+    assert rep.upper_bound == inst.total_demand and rep.total_time_s >= 0.2
+    assert [json.loads(line)["event"] for line in buf.getvalue().splitlines()] == ["done"]
+
+
+@pytest.mark.parametrize("form", ["SF", "GSF", "EF"])
+def test_cut_loop_ends_on_a_round_of_installed_cuts(form):
+    """A round whose cuts are all installed already adds no row and ends the
+    loop.  That registry skip is what stops cut_loop when the violation
+    threshold is below the LP's feasibility tolerance (full_lp_value's GSF
+    loop runs at 1e-10): the LP point may then violate an installed cut by
+    a hair, and separation returns it again."""
+    inst = generate_instance(GeneratorParams("biesinger", m=12, n=12, p=3, r=2, seed=7))
+    search = _Search(inst, BncConfig(formulation=form))
+    search.pool.add(follower_best_response(inst, indicator(inst.n, range(inst.p)))[0])  # SF's root pass scans the pool only
+    rows = search.model.nrows
+    separate, first, rounds = search.separate, [], itertools.count(1)
+
+    def repeat(pt):
+        assert next(rounds) <= 2, "the loop went on after a round of installed cuts"
+        if not first:
+            first.extend(separate(pt))
+        return list(first)
+
+    search.separate = repeat
+    outcome, _, _ = search.cut_loop(-math.inf)
+    assert first and outcome in ("branch", "certified")
+    assert search.cuts == len(first) and search.model.nrows == rows + len(first)
+
+
+def test_config_refuses_an_unknown_formulation():
+    with pytest.raises(ValueError, match="unknown formulation 'XX'"):
+        BncConfig(formulation="XX")
 
 
 def test_report_csv_row_shape(golden):

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scflp
 from scflp.cli import main
 
 from conftest import GOLDEN_TEXT
@@ -270,3 +275,30 @@ def test_negative_seed_exits_2(command, golden_file, tmp_path, capsys):
         "verify": ["verify", "--in", golden_file, "--seed", "-2"],
     }[command]
     assert "seed" in _refusal(argv, capsys)
+
+
+def test_malformed_inputs_exit_2(golden_file, tmp_path, capsys):
+    """A malformed instance file, an unknown formulation in bench's list and
+    a bad integer list end with exit code 2 and no traceback."""
+    bad = tmp_path / "bad.scflp"
+    bad.write_text("scflp 1\n3 3 2\n")
+    assert "size line needs 4 integers" in _refusal(["solve", "--in", str(bad)], capsys)
+    out = tmp_path / "bench.csv"
+    assert "unknown formulation 'XX'" in _refusal(["bench", "--in", golden_file, "--form", "XX", "--out", str(out)], capsys)
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--in", golden_file, "--p", "1,a", "--out", str(out)])
+    assert err.value.code == 2
+    assert "bad integer list '1,a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_the_cli():
+    """python -m scflp is the scflp command."""
+    from scflp import GeneratorParams, generate_instance, save_instance
+
+    src = str(Path(scflp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["generate", "--style", "qi", "--m", "3", "--n", "4", "--p", "2", "--r", "1", "--seed", "5"]
+    done = subprocess.run([sys.executable, "-m", "scflp", *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == save_instance(generate_instance(GeneratorParams("qi", m=3, n=4, p=2, r=1, seed=5)))

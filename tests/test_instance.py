@@ -95,6 +95,15 @@ def test_generated_instances_satisfy_invariants():
 def test_invalid_construction_rejected():
     with pytest.raises(InstanceError):
         Instance(m=1, n=1, w=np.array([1.0]), v=np.array([[0.0]]), p=1, r=1)
+    w, v = np.array([1.0, 2.0]), np.ones((2, 3))
+    for fields, message in (
+        (dict(m=0, n=3, w=np.ones(0), v=np.ones((0, 3))), "m and n must be at least 1"),
+        (dict(m=2, n=3, w=np.ones(3), v=v), r"w has shape \(3,\), expected \(2,\)"),
+        (dict(m=2, n=3, w=w, v=np.ones((3, 2))), r"v has shape \(3, 2\), expected \(2, 3\)"),
+        (dict(m=2, n=3, w=np.array([1.0, -2.0]), v=v), "non-positive demand weight"),
+    ):
+        with pytest.raises(InstanceError, match=message):
+            Instance(p=1, r=1, **fields)
     with pytest.raises(InstanceError):
         Instance(m=1, n=2, w=np.array([1.0]), v=np.array([[1.0, 1.0]]), p=0, r=1)
     with pytest.raises(InstanceError):

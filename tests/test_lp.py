@@ -292,6 +292,8 @@ def test_add_rows_validates_like_add_row():
         model.add_row({-1: 1.0}, "<=", 1.0)
     with pytest.raises(ValueError, match="malformed"):
         model.add_rows((0, 3), (0, 1), (1.0, 1.0), "<=", 1.0)
+    with pytest.raises(ValueError, match="3 right-hand sides for 2 rows"):
+        model.add_rows((0, 1, 2), (0, 1), (1.0, 1.0), "<=", (1.0, 1.0, 1.0))
     model.add_row({0: 1.0, 7: 0.0}, "<=", 1.0)  # a zero on a bad column is dropped, as before
     assert model.nrows == 1 and lp_rows(model)[0].coef == {0: 1.0}
 
@@ -548,3 +550,9 @@ def test_set_basis_with_rows_appended_later_solves_like_a_fresh_model():
     solve_like_linprog()
     model.objective = rng.normal(size=5)
     solve_like_linprog()
+
+
+def test_model_refuses_bounds_of_another_length():
+    for lower, upper in (([0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="bound arrays must match the objective length"):
+            LpModel([1.0, 0.0], lower, upper)

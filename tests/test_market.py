@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scflp import Instance, compute_cy, follower_best_response, leader_share
-from scflp.market import follower_share, indicator, response_costs, share_of_set
+from scflp.market import indicator, response_costs, share_of_set
 
 from conftest import random_choice, random_instance
 
@@ -48,16 +48,6 @@ def test_leader_share_symmetric_half():
 
 def test_empty_leader_set_shares_nothing(golden):
     assert leader_share(golden, [0, 0, 0], [1, 1, 1]) == 0.0
-
-
-def test_shares_sum_to_total_demand():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        inst = random_instance(rng, m=5, n=5, p=2, r=2)
-        x = random_choice(rng, 5, 2)
-        y = random_choice(rng, 5, 2)
-        total = leader_share(inst, x, y) + follower_share(inst, x, y)
-        assert total == pytest.approx(inst.total_demand, rel=1e-12)
 
 
 def test_set_function_monotone_and_submodular():
@@ -152,3 +142,10 @@ def test_response_costs_match_share_identity():
         y = indicator(5, combo)
         reduced = float(inst.w @ rm.cost[:, list(combo)].min(axis=1))
         assert reduced == pytest.approx(leader_share(inst, x, y), rel=1e-12)
+
+
+def test_best_response_refuses_an_unknown_mode_and_an_empty_leader(golden):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        follower_best_response(golden, [1, 1, 0], mode="bogus")
+    with pytest.raises(ValueError, match="leader choice must open at least one site"):
+        response_costs(golden, [0, 0, 0])

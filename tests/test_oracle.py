@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scflp import Instance, brute_force_solve, follower_best_response, full_lp_value
-from scflp.oracle import enumerate_gsf_value
+from scflp import Instance, brute_force_solve, full_lp_value
 from scflp.rmedian import CapExceededError
+from scflp.verify import enumerate_gsf_value
 
 from conftest import random_instance
 
@@ -39,16 +39,6 @@ def test_value_invariant_under_site_permutation():
         perm = rng.permutation(5)
         permuted = Instance(m=3, n=5, w=inst.w, v=inst.v[:, perm], p=2, r=2)
         assert brute_force_solve(permuted).value == pytest.approx(brute_force_solve(inst).value, rel=1e-12)
-
-
-def test_response_map_matches_best_response():
-    rng = np.random.default_rng(9)
-    inst = random_instance(rng, m=3, n=5, p=2, r=2)
-    rep = brute_force_solve(inst, collect_responses=True)
-    for xbits, (ybits, val) in rep.responses.items():
-        y, v = follower_best_response(inst, np.array(xbits), mode="enumerate")
-        assert v == pytest.approx(val, rel=1e-12)
-        assert tuple(y) == tuple(ybits)
 
 
 def test_pair_cap_enforced():
@@ -106,3 +96,8 @@ def test_gsf_value_refuses_a_loop_stopped_by_the_clock(monkeypatch):
     monkeypatch.setattr(bnc._Search, "out_of_time", lambda self: True)
     with pytest.raises(RuntimeError, match="timeout"):
         full_lp_value(inst, "GSF")
+
+
+def test_full_lp_refuses_an_unknown_formulation(golden):
+    with pytest.raises(ValueError, match="unknown formulation 'XX'"):
+        full_lp_value(golden, "XX")

@@ -232,6 +232,13 @@ def test_instance_rejects_bad_costs_and_weights():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="weights must be positive"):
             RMedianInstance(good, np.array([1.0, bad]), 1)
+    with pytest.raises(ValueError, match=r"cost must be an \(m, n\) matrix"):
+        RMedianInstance(good.ravel(), np.ones(4), 1)
+    with pytest.raises(ValueError, match="w length must match the cost row count"):
+        RMedianInstance(good, np.ones(3), 1)
+    for r in (0, 3):
+        with pytest.raises(ValueError, match=rf"r={r} out of range \[1, 2\]"):
+            RMedianInstance(good, np.ones(2), r)
 
 
 def test_time_limit_returns_an_incumbent_of_r_sites():

@@ -343,3 +343,17 @@ def test_each_capture_matrix_is_computed_once_per_solve(form, monkeypatch):
     assert solve(inst, BncConfig(formulation=form)).status == "optimal"
     assert len(pools) == 1
     assert len(calls) == len(pools[0]) > 0
+
+
+def test_separators_refuse_points_of_the_wrong_kind(golden):
+    """Classic and anchor separation take points without allocations, and
+    assignment separation needs them."""
+    pool = FollowerPool(golden)
+    x = np.full(3, 2 / 3)
+    with_z = RelaxPoint(eta=2.0, x=x, z=greedy_assignment(golden, x))
+    with pytest.raises(ValueError, match="classic separation takes points without allocations"):
+        separate_sf(with_z, pool)
+    with pytest.raises(ValueError, match="anchor separation takes points without allocations"):
+        separate_gsf(with_z, pool)
+    with pytest.raises(ValueError, match="assignment separation needs allocations"):
+        separate_ef(RelaxPoint(eta=2.0, x=x), pool)
