@@ -96,7 +96,7 @@ def build_model(inst: Instance, formulation: str) -> LpModel:
     model = LpModel(obj, lower, upper)
     model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p))
     if formulation == "EF":
-        add_linking_rows(model, m, n, zcol(inst, 0, 0))
+        add_linking_rows(model, m, n, 1 + n)
         model.set_basis(*_ef_start_basis(inst))
     return model
 
@@ -125,10 +125,6 @@ def _ef_start_basis(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     return col, row
 
 
-def zcol(inst: Instance, i: int, j: int) -> int:
-    return 1 + inst.n + i * inst.n + j
-
-
 def add_linking_rows(model: LpModel, m: int, n: int, first_z: int) -> None:
     """Append the EF linking rows of one m x n allocation block whose z[i, j]
     sits in column first_z + i*n + j: z_ij - x_j <= 0 for every (i, j), then
@@ -154,7 +150,7 @@ def add_eta_row(model: LpModel, first: int, coef, constant: float) -> int:
 
 def add_cut_row(model: LpModel, inst: Instance, cut: Cut) -> int:
     if cut.kind == "EF":
-        return add_eta_row(model, zcol(inst, 0, 0), cut.zcoef, cut.constant)
+        return add_eta_row(model, 1 + inst.n, cut.zcoef, cut.constant)  # z follows eta and x
     return add_eta_row(model, 1, cut.xcoef, cut.constant)
 
 
@@ -362,10 +358,11 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
 
 def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float):
     """Run the cut loop at the root only; returns (bound, root gap %), the
-    gap being (bound - true_opt) / true_opt * 100."""
+    gap being (bound - true_opt) / true_opt * 100.  With p == n the bound
+    is the single leader choice's exact value."""
     search = _Search(inst, cfg)
     if inst.p == inst.n:
-        _, val = search.best_response(indicator(inst.n, range(inst.n)))
-        return val, 0.0
-    _, obj, _ = search.cut_loop(-math.inf)
-    return obj, (obj - true_opt) / true_opt * 100.0
+        _, bound = search.best_response(indicator(inst.n, range(inst.n)))
+    else:
+        _, bound, _ = search.cut_loop(-math.inf)
+    return bound, (bound - true_opt) / true_opt * 100.0

@@ -159,10 +159,11 @@ def _solve_text(report, label: str) -> str:
 
 def _cmd_oracle(args) -> int:
     inst = _read_instance(args.path)
-    report = brute_force_solve(inst)
-    lines = [f"value={report.value:.6f}", f"optima={len(report.optimal_x)}"]
-    lines += ["x=" + "".join(str(int(b)) for b in x) for x in report.optimal_x]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _open_out(args.out) as out:
+        report = brute_force_solve(inst)
+        lines = [f"value={report.value:.6f}", f"optima={len(report.optimal_x)}"]
+        lines += ["x=" + "".join(str(int(b)) for b in x) for x in report.optimal_x]
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -179,33 +180,34 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     lines = []
     ok = True
-    for check in checks:
-        if check == "hull":
-            y = np.zeros(inst.n, dtype=np.int8)
-            y[rng.choice(inst.n, size=inst.r, replace=False)] = 1
-            rep = verify_hull(inst, y, trials=args.trials, seed=args.seed)
-            good = rep.max_discrepancy < 1e-7
-            lines.append(f"hull: {'pass' if good else 'FAIL'} max_discrepancy={rep.max_discrepancy:.3e}")
-        elif check == "prop61":
-            worst = 0.0
-            for _ in range(args.trials):
-                x = rng.uniform(0.0, 1.0, size=inst.n)
+    with _open_out(args.out) as out:
+        for check in checks:
+            if check == "hull":
                 y = np.zeros(inst.n, dtype=np.int8)
                 y[rng.choice(inst.n, size=inst.r, replace=False)] = 1
-                worst = max(worst, verify_prop61(inst, x, y))
-            good = worst < 1e-10
-            lines.append(f"prop61: {'pass' if good else 'FAIL'} max_discrepancy={worst:.3e}")
-        else:
-            rep = verify_aggregation(inst, trials=min(args.trials, 5), seed=args.seed)
-            gap = abs(rep.shared_value - rep.disaggregated_value)
-            good = gap < 1e-7 and rep.max_greedy_gap < 1e-7 and rep.max_dual_gap < 1e-9
-            lines.append(
-                "aggregation: "
-                f"{'pass' if good else 'FAIL'} lp_gap={gap:.3e} "
-                f"greedy_gap={rep.max_greedy_gap:.3e} dual_gap={rep.max_dual_gap:.3e}"
-            )
-        ok = ok and good
-    _write_text(args.out, "\n".join(lines) + "\n")
+                rep = verify_hull(inst, y, trials=args.trials, seed=args.seed)
+                good = rep.max_discrepancy < 1e-7
+                lines.append(f"hull: {'pass' if good else 'FAIL'} max_discrepancy={rep.max_discrepancy:.3e}")
+            elif check == "prop61":
+                worst = 0.0
+                for _ in range(args.trials):
+                    x = rng.uniform(0.0, 1.0, size=inst.n)
+                    y = np.zeros(inst.n, dtype=np.int8)
+                    y[rng.choice(inst.n, size=inst.r, replace=False)] = 1
+                    worst = max(worst, verify_prop61(inst, x, y))
+                good = worst < 1e-10
+                lines.append(f"prop61: {'pass' if good else 'FAIL'} max_discrepancy={worst:.3e}")
+            else:
+                rep = verify_aggregation(inst, trials=min(args.trials, 5), seed=args.seed)
+                gap = abs(rep.shared_value - rep.disaggregated_value)
+                good = gap < 1e-7 and rep.max_greedy_gap < 1e-7 and rep.max_dual_gap < 1e-9
+                lines.append(
+                    "aggregation: "
+                    f"{'pass' if good else 'FAIL'} lp_gap={gap:.3e} "
+                    f"greedy_gap={rep.max_greedy_gap:.3e} dual_gap={rep.max_dual_gap:.3e}"
+                )
+            ok = ok and good
+        out.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

@@ -7,10 +7,10 @@ responses; when no member's cut is violated it solves the family's
 separation r-median exactly (SF only at integral points), started from the
 pool's members, and adds the argmin to the pool.  The pool is bound to one
 instance, which the separators read from it, and computes each member's
-capture matrix once, when the member joins.  At a fractional point
-SF's cut for a member is the classic cut deepest at the point over the
-prefix sets of its support (``cuts.deepest_prefix``); SF's fractional pass
-is pool-only and claims no exactness.  Pool scans and exact
+capture matrix once, when the member joins.  At every point SF's cut for
+a member is the classic cut deepest at the point over the prefix sets of
+its support (``cuts.deepest_prefix``); SF's fractional pass is pool-only
+and claims no exactness.  Pool scans and exact
 passes at fractional points keep cuts violated by more than ``eps``, so an
 empty exact return certifies that no inequality of the family is violated
 by more than that.  At an integral point (``RelaxPoint.integral``) the exact
@@ -117,28 +117,24 @@ def _separate(pt: RelaxPoint, pool: FollowerPool, eps: float, cut_for, costs) ->
 
 
 def separate_sf(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
-    """Classic-cut separation.
-
-    At an integral x (``pt.integral``) each cut is built at the rounded
-    point, the open set, and an exact pass on the follower's best-response
-    costs follows an empty pool scan; an empty return then certifies the
-    point.  At a fractional x only the pool is scanned and no exactness is
-    claimed: each member's cut is the deepest at x over the prefixes of the
-    LP support (``deepest_prefix``: sites with x > 0 by descending x, ties
-    by index), which include the rounded point's support, and is returned
-    when violated at x.
+    """Classic-cut separation: each follower choice's cut is the classic
+    cut deepest at x over the prefixes of the LP support (``deepest_prefix``:
+    sites with x > 0 by descending x, ties by index).  At an integral x
+    (``pt.integral``) an exact pass on the follower's best-response costs
+    follows an empty pool scan; every prefix's cut is valid and the open
+    set, itself a prefix, attains the exact share, so the deepest cut is
+    tight and an empty return certifies the point.  At a fractional x only
+    the pool is scanned and no exactness is claimed.
     """
     if pt.z is not None:
         raise ValueError("classic separation takes points without allocations")
     inst = pool.inst
     x = np.asarray(pt.x)
-    if pt.integral:
-        support = open_sites(x)  # the rounded point's open set, as response_costs reads it
-        return _separate(pt, pool, eps, lambda y, cy: submodular_cut(inst, y, support, cy), lambda: response_costs(inst, x))
     cols = (x > 0.0).nonzero()[0]
     order = cols[np.argsort(-x[cols], kind="stable")]  # descending x, ties by index
     xs = x[order]
-    return _separate(pt, pool, eps, lambda y, cy: submodular_cut(inst, y, deepest_prefix(inst, cy, order, xs), cy), None)
+    costs = (lambda: response_costs(inst, x)) if pt.integral else None
+    return _separate(pt, pool, eps, lambda y, cy: submodular_cut(inst, y, deepest_prefix(inst, cy, order, xs), cy), costs)
 
 
 def separate_gsf(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:

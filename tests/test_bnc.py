@@ -41,6 +41,11 @@ def test_single_leader_choice_short_circuits(form):
     assert rep.objective == pytest.approx(val, rel=1e-14)
     done = json.loads(buf.getvalue().splitlines()[-1])
     assert done["event"] == "done" and done["objective"] == rep.objective
+    # the root bound is the exact value, and the gap is taken against true_opt
+    for true_opt, gap in ((val, 0.0), (val / 2, 100.0)):
+        bound, rg = root_relaxation(inst, BncConfig(formulation=form), true_opt=true_opt)
+        assert bound == pytest.approx(val, rel=1e-14)
+        assert rg == pytest.approx(gap, abs=1e-9)
 
 
 @pytest.mark.parametrize("form", ["SF", "GSF", "EF"])

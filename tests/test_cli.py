@@ -79,19 +79,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 def test_unwritable_outputs_exit_2_before_solving(golden_file, tmp_path, capsys, monkeypatch):
     """An --out or --events path that cannot be opened ends with one error
-    line and exit code 2; solve and bench check theirs before any search."""
+    line and exit code 2; solve, bench, oracle and verify check theirs
+    before any search, enumeration or check."""
     import scflp.cli
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve ran although its output cannot be written")
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran although its output cannot be written")
 
-    monkeypatch.setattr(scflp.cli, "solve", no_solve)
+    for name in ("solve", "brute_force_solve", "verify_hull", "verify_prop61", "verify_aggregation"):
+        monkeypatch.setattr(scflp.cli, name, no_work)
     bad = str(tmp_path / "missing" / "out.txt")
     runs = (
         ["solve", "--in", golden_file, "--events", bad],
         ["solve", "--in", golden_file, "--out", bad],
         ["generate", "--m", "4", "--n", "4", "--p", "2", "--r", "2", "--out", bad],
         ["bench", "--in", golden_file, "--form", "GSF", "--out", bad],
+        ["oracle", "--in", golden_file, "--out", bad],
+        ["verify", "--in", golden_file, "--out", bad],
     )
     for argv in runs:
         with pytest.raises(SystemExit) as err:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from scflp import BncConfig, GeneratorParams, compute_cy, follower_best_response, generate_instance, leader_share, solve
+from scflp import BncConfig, GeneratorParams, Instance, compute_cy, follower_best_response, generate_instance, leader_share, solve
 from scflp import separation
 from scflp.cuts import ef_cut, greedy_assignment, improved_cut, submodular_cut, tight_ell
 from scflp.market import indicator
@@ -28,9 +28,13 @@ def test_sf_exact_separation_golden(golden):
     pt = RelaxPoint(eta=1.6, x=np.array([1.0, 1.0, 0.0]))
     cuts = separate_sf(pt, pool)
     assert len(cuts) == 1
-    assert cuts[0].constant == pytest.approx(4 / 3, abs=1e-12)
     assert len(pool) == 1
     assert [tuple(y) for y in pool] == [(1, 1, 1)]
+    # the deepest prefix cut of the support (0, 1), tight at the exact value 4/3
+    y = np.ones(3, dtype=np.int8)
+    values = [submodular_cut(golden, y, range(k)).rhs_at(pt.x) for k in range(3)]
+    assert _same_cut(cuts[0], submodular_cut(golden, y, range(int(np.argmin(values)))))
+    assert cuts[0].rhs_at(pt.x) == pytest.approx(4 / 3, abs=1e-12)
     # second call at the same point hits the pool, not the exact solver
     again = separate_sf(pt, pool)
     assert len(again) == 1 and again[0].provenance == cuts[0].provenance
@@ -42,13 +46,36 @@ def test_sf_zero_eta_never_violated(golden):
     assert separate_sf(pt, pool) == []
 
 
-def test_sf_feasible_point_certified():
-    rng = np.random.default_rng(7)
-    inst = random_instance(rng, m=4, n=6, p=2, r=2)
-    x = random_choice(rng, 6, 2)
+# (seed, m, n, p, r) of small instances whose v takes three values, so
+# customers see ties between sites
+_TIED_SHAPES = ((7, 4, 6, 2, 2), (19, 5, 5, 3, 2), (31, 3, 6, 3, 3))
+
+
+def _tied_instance(seed, m, n, p, r):
+    rng = np.random.default_rng(seed)
+    return Instance(m=m, n=n, w=rng.integers(1, 11, size=m).astype(float), v=rng.integers(1, 4, size=(m, n)).astype(float), p=p, r=r)
+
+
+@pytest.mark.parametrize(
+    "shape, combo",
+    [
+        pytest.param(shape, combo, id=f"s{shape[0]}-x{''.join(map(str, combo))}")
+        for shape in _TIED_SHAPES
+        for combo in itertools.combinations(range(shape[2]), shape[3])
+    ],
+)
+def test_sf_feasible_point_certified(shape, combo):
+    """SF certification is exact at every integral point: at eta equal to
+    the exact best-response value the separation returns nothing, and just
+    above it one cut whose value at the point is that value."""
+    inst = _tied_instance(*shape)
+    x = indicator(inst.n, combo)
+    xf = np.asarray(x, dtype=float)
     _, val = follower_best_response(inst, x)
-    pt = RelaxPoint(eta=val, x=np.asarray(x, dtype=float))
-    assert separate_sf(pt, FollowerPool(inst)) == []
+    assert separate_sf(RelaxPoint(eta=val, x=xf), FollowerPool(inst)) == []
+    cuts = separate_sf(RelaxPoint(eta=val * (1 + 1e-6), x=xf), FollowerPool(inst))
+    assert len(cuts) == 1
+    assert cuts[0].rhs_at(xf) == pytest.approx(val, rel=1e-12, abs=1e-12)
 
 
 def test_sf_fractional_takes_the_deepest_prefix_cut_and_pool_only(golden):
@@ -78,11 +105,32 @@ def test_sf_cuts_are_the_deepest_prefix_cuts_at_fractional_points(monkeypatch):
     LP support (descending x, ties by index) with the smallest value at x:
     brute force over every prefix gives the same minimum, at the smallest
     such prefix, and it is at most the rounded-support cut's value.  At an
-    integral point the cuts are the open set's classic cuts, as before."""
+    integral point the pool scan's cuts are chosen by the same rule; there
+    many prefixes tie in exact arithmetic, so any prefix within rounding of
+    the minimum is accepted, and the cut's value is the open set's."""
     rng = np.random.default_rng(53)
     built = []
     original = separation.submodular_cut
     monkeypatch.setattr(separation, "submodular_cut", lambda *a, **k: built.append(1) or original(*a, **k))
+
+    def assert_deepest(inst, x, members, cuts, integral=False):
+        cols = np.flatnonzero(x > 0)
+        order = [int(j) for j in cols[np.argsort(-x[cols], kind="stable")]]
+        rounded = np.flatnonzero(x >= 0.5)
+        for y, cut in zip(members, cuts):
+            values = [original(inst, y, order[:k]).rhs_at(x) for k in range(len(order) + 1)]
+            low = min(values)
+            tol = 1e-12 * max(1.0, abs(low))
+            ties = [k for k, value in enumerate(values) if value <= low + tol]
+            k = len(cut.provenance[2]) if integral else ties[0]
+            assert k in ties
+            assert cut.provenance[2] == tuple(sorted(order[:k]))
+            assert _same_cut(cut, original(inst, y, order[:k]))
+            assert cut.rhs_at(x) == pytest.approx(low, rel=1e-12, abs=1e-12)
+            assert cut.rhs_at(x) <= original(inst, y, rounded).rhs_at(x) + tol
+            if integral:
+                assert cut.rhs_at(x) == pytest.approx(original(inst, y, rounded).rhs_at(x), rel=1e-12, abs=1e-12)
+
     for case in range(200):
         m, n = (int(k) for k in rng.integers(2, 13, size=2))
         inst = random_instance(rng, m=m, n=n, p=int(rng.integers(1, n + 1)), r=int(rng.integers(1, n + 1)))
@@ -98,22 +146,11 @@ def test_sf_cuts_are_the_deepest_prefix_cuts_at_fractional_points(monkeypatch):
         built.clear()
         cuts = separate_sf(RelaxPoint(eta=eta, x=x), pool)
         assert len(built) == len(members) == len(cuts)
-        cols = np.flatnonzero(x > 0)
-        order = [int(j) for j in cols[np.argsort(-x[cols], kind="stable")]]
-        rounded = np.flatnonzero(x >= 0.5)
-        for y, cut in zip(members, cuts):
-            values = [original(inst, y, order[:k]).rhs_at(x) for k in range(len(order) + 1)]
-            low = min(values)
-            tol = 1e-12 * max(1.0, abs(low))
-            k = next(k for k, value in enumerate(values) if value <= low + tol)
-            assert cut.provenance[2] == tuple(sorted(order[:k]))
-            assert _same_cut(cut, original(inst, y, order[:k]))
-            assert cut.rhs_at(x) == pytest.approx(low, rel=1e-12, abs=1e-12)
-            assert cut.rhs_at(x) <= original(inst, y, rounded).rhs_at(x) + tol
+        assert_deepest(inst, x, members, cuts)
         xint = random_choice(rng, n, inst.p).astype(float)
         cuts = separate_sf(RelaxPoint(eta=eta, x=xint), pool)
         assert len(cuts) == len(members)
-        assert all(_same_cut(cut, original(inst, y, np.flatnonzero(xint))) for y, cut in zip(members, cuts))
+        assert_deepest(inst, xint, members, cuts, integral=True)
 
 
 def test_gsf_cuts_off_classic_relaxation_optimum(golden):
