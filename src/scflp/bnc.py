@@ -8,7 +8,8 @@ most fractional leader variable.  Separation certifies an integral point
 only at its exact value, up to the certification slack (see ``separation``).
 Cuts are globally valid and shared by every node.  Incumbent values are
 recomputed with an exact best-response solve, so reported objectives do not
-inherit LP or separation tolerances.
+inherit LP or separation tolerances.  Open nodes and their bounds live only
+on the heap; a stop on the clock or the gap tolerance leaves them there.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class SolveReport:
     formulation: str
     objective: float  # best incumbent value (exact best-response evaluation)
     best_x: np.ndarray | None
-    upper_bound: float  # max of the incumbent, open nodes' bounds and bounds dropped by gap_tol
+    upper_bound: float  # max of the incumbent and the bounds of the nodes left open
     gap_pct: float  # (upper_bound - objective) / upper_bound * 100
     nodes: int  # explored nodes beyond the root
     cuts: int
@@ -212,16 +213,17 @@ class _Search:
         """Solve-separate at the current bounds until separation has
         nothing fresh to add, the bound is dominated, or time runs out.
 
-        Returns (outcome, objective, point) where outcome is one of
-        "certified", "branch", "dominated", "timeout"; after "certified"
-        and "branch" separation found nothing fresh at the point.  The loop
-        has one stopping rule: a round that installs no fresh cut returns.
-        Every other round installs a cut the registry has not seen, and
-        each family is finite (SF: follower choice and prefix set, GSF:
-        follower choice and anchor vector, EF: follower choice), so the
-        loop ends; the time limit is checked on every round.  Every node's
-        LP is feasible (the leader fixings leave p sites open), so an LP
-        status other than "optimal" raises RuntimeError.
+        Returns (outcome, objective, point): "certified" or "branch" when
+        separation found nothing fresh at the point, else "dominated" or
+        "timeout", after which the node stays open at bound objective unless
+        the incumbent prunes it.  The loop has one stopping rule: a round
+        that installs no fresh cut returns.  Every other round installs a
+        cut the registry has not seen, and each family is finite (SF:
+        follower choice and prefix set, GSF: follower choice and anchor
+        vector, EF: follower choice), so the loop ends; the time limit is
+        checked on every round.  Every node's LP is feasible (the leader
+        fixings leave p sites open), so an LP status other than "optimal"
+        raises RuntimeError.
         """
         while True:
             res = lp_solve(self.model)
@@ -240,12 +242,6 @@ class _Search:
 
 def _dominated(bound: float, lb: float, gap_tol: float) -> bool:
     return at_most(bound * (1.0 - gap_tol), lb)
-
-
-def _gap_pruned(gap_bound: float, bound: float, lb: float) -> float:
-    """gap_bound raised to a dropped node's bound when only the gap
-    tolerance dropped it: the optimum may still lie in its subtree."""
-    return gap_bound if at_most(bound, lb) else max(gap_bound, bound)
 
 
 def _emit(events, t0: float, event: str, **fields):
@@ -268,7 +264,6 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
     t0 = search.t0
     n = inst.n
     lb, best_x = -math.inf, None
-    gap_bound = -math.inf  # largest bound of a node dropped only by the gap tolerance
     root_bound = math.nan
     counter = itertools.count()
     heap = [(-inst.total_demand, next(counter), frozenset(), frozenset())]
@@ -279,13 +274,12 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
     processed = 0
 
     while heap:
-        neg_bound, _, fix0, fix1 = heapq.heappop(heap)
+        neg_bound, _, fix0, fix1 = node = heapq.heappop(heap)
         bound = -neg_bound
-        if _dominated(bound, lb, cfg.gap_tol):
-            gap_bound = _gap_pruned(gap_bound, bound, lb)
+        if at_most(bound, lb):
             continue
-        if search.out_of_time():
-            heapq.heappush(heap, (neg_bound, next(counter), fix0, fix1))
+        if _dominated(bound, lb, cfg.gap_tol) or search.out_of_time():
+            heapq.heappush(heap, node)  # it stays open; pops are best-first, so no open node beats it
             break
         processed += 1
 
@@ -309,12 +303,10 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             cuts=search.cuts,
         )
 
-        if outcome == "dominated":
-            gap_bound = _gap_pruned(gap_bound, obj, lb)
+        if outcome in ("dominated", "timeout"):
+            if not at_most(obj, lb):  # still open: set aside by the gap tolerance or the clock
+                heapq.heappush(heap, (-obj, next(counter), fix0, fix1))
             continue
-        if outcome == "timeout":
-            heapq.heappush(heap, (-obj, next(counter), fix0, fix1))
-            break
         if outcome == "certified":
             xint = np.round(pt.x).astype(np.int8)
             _, val = search.best_response(xint)
@@ -329,9 +321,7 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
             if len(child1) <= inst.p and n - len(child0) >= inst.p:
                 heapq.heappush(heap, (-obj, next(counter), child0, child1))
 
-    # a stop on the clock pushes back a node that is not dominated, and
-    # gap_tol may drop one: either leaves ub above the incumbent
-    ub = max(lb, gap_bound, *(-hb for hb, *_ in heap))
+    ub = max([lb] + [-hb for hb, *_ in heap])
     gap = 0.0 if ub == lb else (ub - lb) / ub * 100.0 if ub > 0 else math.inf
     objective = lb if best_x is not None else math.nan
     status = "optimal" if at_most(ub, objective) else "limit"

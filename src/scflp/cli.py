@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -49,14 +50,21 @@ def _read_instance(path: str):
 
 
 def _open_out(path: str | None):
-    """A text stream for path (stdout when None), opened before any work is
-    done; exits with one error line and code 2 if path cannot be written."""
+    """A text stream for path (stdout when None), opened before any work and
+    emptied only by ``_replace``; exits 2 with one error line if unwritable."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, "a", encoding="utf-8")
     except OSError as exc:
         _refuse(f"cannot write {path}: {exc}")
+
+
+def _replace(out, text: str) -> None:
+    """Write text as out's whole content; stdout, pipes and devices are only written to."""
+    if out is not sys.stdout and os.path.isfile(out.name):
+        out.truncate(0)
+    out.write(text)
 
 
 def _config(form: str, args) -> BncConfig:
@@ -69,7 +77,7 @@ def _config(form: str, args) -> BncConfig:
 
 def _write_text(path: str | None, text: str):
     with _open_out(path) as fh:
-        fh.write(text)
+        _replace(fh, text)
 
 
 def _int_list(value: str) -> list[int]:
@@ -139,8 +147,10 @@ def _cmd_solve(args) -> int:
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(_open_out(args.out))
         events = stack.enter_context(_open_out(args.events)) if args.events else None
+        if events is not None:
+            _replace(events, "")  # the search appends to it as it runs
         report = solve(inst, cfg, events=events)
-        out.write(_solve_text(report, Path(args.path).name))
+        _replace(out, _solve_text(report, Path(args.path).name))
     return 0 if report.status == "optimal" else LIMIT_EXIT
 
 
@@ -163,7 +173,7 @@ def _cmd_oracle(args) -> int:
         report = brute_force_solve(inst)
         lines = [f"value={report.value:.6f}", f"optima={len(report.optimal_x)}"]
         lines += ["x=" + "".join(str(int(b)) for b in x) for x in report.optimal_x]
-        out.write("\n".join(lines) + "\n")
+        _replace(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -207,7 +217,7 @@ def _cmd_verify(args) -> int:
                     f"greedy_gap={rep.max_greedy_gap:.3e} dual_gap={rep.max_dual_gap:.3e}"
                 )
             ok = ok and good
-        out.write("\n".join(lines) + "\n")
+        _replace(out, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -246,7 +256,7 @@ def _cmd_bench(args) -> int:
                 reports = list(pool.map(solve, insts, cfgs))
         else:
             reports = list(map(solve, insts, cfgs))
-        csv.write("\n".join([CSV_HEADER] + [rep.csv_row(label) for rep, label in zip(reports, labels)]) + "\n")
+        _replace(csv, "\n".join([CSV_HEADER] + [rep.csv_row(label) for rep, label in zip(reports, labels)]) + "\n")
 
     # two-column performance profile per formulation: time, solved fraction
     per_form: dict[str, list[float]] = {f: [] for f in forms}

@@ -180,6 +180,29 @@ def test_event_log_schema(form, monkeypatch):
     assert [e["outcome"] for e in nodes] == ["timeout"] and done["status"] == "limit"
 
 
+@pytest.mark.parametrize("form", ["SF", "GSF", "EF"])
+def test_a_clock_stop_inside_a_cut_loop_keeps_valid_bounds(form, monkeypatch):
+    """The clock runs out from its k-th check on, k = 2..59.  Every solve
+    that stops inside a node's cut loop ends on "limit" after nodes + 1
+    node lines, with an upper bound not below that node's bound and the
+    optimum, and an objective (if any) not above the optimum; some of these
+    stops land past the root."""
+    inst = generate_instance(GeneratorParams("biesinger", m=12, n=12, p=3, r=2, seed=7))
+    opt = brute_force_solve(inst).value
+    past_root = 0
+    for k in range(2, 60):
+        calls = itertools.count(1)
+        monkeypatch.setattr(bnc._Search, "out_of_time", lambda self, k=k: next(calls) >= k)
+        rep, nodes, done = _event_lines(inst, BncConfig(formulation=form))
+        if nodes[-1]["outcome"] != "timeout":
+            continue
+        assert rep.status == done["status"] == "limit" and len(nodes) == rep.nodes + 1
+        assert rep.upper_bound >= nodes[-1]["bound"] and rep.upper_bound >= opt - 1e-9
+        assert math.isnan(rep.objective) or rep.objective <= opt + 1e-9
+        past_root += nodes[-1]["processed"] > 1
+    assert past_root > 0
+
+
 def test_model_building_counts_against_the_time_limit(monkeypatch):
     """The solve's one clock starts before the model is built: a build that
     outlasts the limit ends the solve with status "limit" before the root
@@ -285,15 +308,15 @@ def test_residual_drift_on_a_warm_chain_is_refactored():
 def test_gap_tolerance_terminates_early():
     """A loose solve reports an incumbent within the tolerance and a valid
     upper bound whose gap stays within it, with status "limit" unless that
-    bound proves the incumbent.  Nodes dropped by the tolerance alone used
-    to vanish from the bound: on the second case, upper_bound 56.7731 and
-    gap_pct 0 against the optimum 57.5561."""
+    bound proves the incumbent.  Nodes set aside by the tolerance alone stay
+    open with their bounds; a bound that left with them would give, on the
+    second case, upper_bound 56.7731 and gap_pct 0 against the optimum 57.5561."""
     small = random_instance(np.random.default_rng(37), m=5, n=8, p=3, r=2)
     cases = [
         (small, "GSF", 0.5, "optimal"),
-        # dropped by cut_loop as dominated; the incumbent 56.7731 is not proved
+        # set aside after cut_loop returns dominated; the incumbent 56.7731 is not proved
         (generate_instance(GeneratorParams("biesinger", m=20, n=20, p=3, r=2, seed=0)), "SF", 0.02, "limit"),
-        # dropped when popped from the open-node heap
+        # set aside when popped from the open-node heap, where the search stops
         (generate_instance(GeneratorParams("biesinger", m=12, n=12, p=2, r=2, seed=1)), "SF", 0.1, "limit"),
     ]
     for inst, form, gap_tol, status in cases:

@@ -243,16 +243,27 @@ def test_bench_with_an_invalid_generated_instance_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_instances_beyond_an_enumeration_cap_exit_2(tmp_path, capsys):
-    """oracle's pair cap (C(40,3)^2 pairs) and verify's hull cap (n = 12)."""
+def test_instances_beyond_an_enumeration_cap_exit_2(golden_file, tmp_path, capsys):
+    """oracle's pair cap (C(40,3)^2 pairs) and verify's hull cap (n = 12).
+    Both refusals come after --out is opened and leave an existing file as
+    it was; a run that succeeds replaces a longer file's whole content."""
     from scflp import GeneratorParams, generate_instance, save_instance
 
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
     big = tmp_path / "big.scflp"
     big.write_text(save_instance(generate_instance(GeneratorParams("biesinger", m=40, n=40, p=3, r=3))))
-    assert "cap" in _refusal(["oracle", "--in", str(big)], capsys)
+    assert "cap" in _refusal(["oracle", "--in", str(big), "--out", str(out)], capsys)
     wide = tmp_path / "wide.scflp"
     wide.write_text(save_instance(generate_instance(GeneratorParams("biesinger", m=4, n=12, p=3, r=3))))
-    _refusal(["verify", "--in", str(wide)], capsys)
+    _refusal(["verify", "--in", str(wide), "--out", str(out)], capsys)
+    assert out.read_text() == "kept\n"
+
+    assert main(["oracle", "--in", golden_file]) == 0
+    fresh = capsys.readouterr().out
+    out.write_text("x" * 4 * len(fresh))
+    assert main(["oracle", "--in", golden_file, "--out", str(out)]) == 0
+    assert out.read_text() == fresh
 
 
 def test_bench_refuses_empty_lists_and_workers_below_one(tmp_path, capsys):
