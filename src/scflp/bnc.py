@@ -347,12 +347,16 @@ def solve(inst: Instance, cfg: BncConfig, events=None) -> SolveReport:
 
 
 def root_relaxation(inst: Instance, cfg: BncConfig, true_opt: float):
-    """Run the cut loop at the root only; returns (bound, root gap %), the
-    gap being (bound - true_opt) / true_opt * 100.  With p == n the bound
-    is the single leader choice's exact value."""
+    """Run the cut loop at the root only; returns (bound, root gap %,
+    status), the gap being (bound - true_opt) / true_opt * 100.  status is
+    "optimal" when the loop finished and "limit" when the clock stopped it,
+    leaving a valid but looser bound.  With p == n the bound is the single
+    leader choice's exact value and the status "optimal"."""
     search = _Search(inst, cfg)
     if inst.p == inst.n:
         _, bound = search.best_response(indicator(inst.n, range(inst.n)))
+        status = "optimal"
     else:
-        _, bound, _ = search.cut_loop(-math.inf)
-    return bound, (bound - true_opt) / true_opt * 100.0
+        outcome, bound, _ = search.cut_loop(-math.inf)
+        status = "limit" if outcome == "timeout" else "optimal"
+    return bound, (bound - true_opt) / true_opt * 100.0, status

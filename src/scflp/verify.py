@@ -10,6 +10,11 @@ and touch the integer points at every integral leader vector; the check
 reports any direction where they rise above the integer hull (which does
 happen: the per-customer aggregation can be strictly looser than the
 true hull at fractional points, with no effect on solver exactness).
+The anchor-cut polytope's (n+1)^m rows are all built, but its support
+LPs start from one of them and add the others as they are needed: after
+each solve, the explicit row the answer violates most joins the model,
+until the answer satisfies every row of the list.  The rows are tested
+against the list itself, not through the solver's separation.
 
 ``verify_prop61`` cross-checks the anchor-cut separation reduction
 against a literal minimization over all anchor vectors,
@@ -31,10 +36,11 @@ import numpy as np
 from .bnc import add_cut_row, add_eta_row, add_linking_rows, build_model
 from .cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut, tight_ell
 from .instance import Instance
-from .lp import LpModel, lp_solve
-from .market import compute_cy, indicator, open_sites, share_of_set
+from .lp import LpModel, LpResult, lp_solve
+from .market import compute_cy, indicator, open_sites
 from .oracle import full_lp_value
 from .rmedian import CapExceededError
+from .tolerances import at_most
 
 
 @dataclass(frozen=True)
@@ -78,13 +84,14 @@ def _add_anchor_rows(model: LpModel, rows: np.ndarray) -> None:
     model.add_rows(np.arange(0, dense.size + 1, width), np.tile(np.arange(width), len(rows)), dense.ravel(), "<=", rows[:, 0])
 
 
-def _anchor_polytope(inst: Instance, y) -> LpModel:
-    """eta and x columns, every anchor cut for y, unit box, no cardinality row."""
+def _anchor_polytope(inst: Instance, rows: np.ndarray) -> LpModel:
+    """eta and x columns, the given ``_anchor_rows`` rows, unit box, no
+    cardinality row."""
     obj = np.zeros(1 + inst.n)
     lower = np.concatenate(([-np.inf], np.zeros(inst.n)))
     upper = np.concatenate(([np.inf], np.ones(inst.n)))
     model = LpModel(obj, lower, upper)
-    _add_anchor_rows(model, _anchor_rows(inst, y, compute_cy(inst, y)))
+    _add_anchor_rows(model, rows)
     return model
 
 
@@ -100,14 +107,42 @@ def _assignment_polytope(inst: Instance, y) -> LpModel:
     return model
 
 
-def _support(model: LpModel, alpha: float, beta: np.ndarray) -> float:
+def _support_lp(model: LpModel, alpha: float, beta: np.ndarray) -> LpResult:
     model.objective = np.zeros(model.ncols)
     model.objective[0] = alpha
     model.objective[1 : 1 + beta.size] = beta
     res = lp_solve(model)
     if res.status != "optimal":
         raise RuntimeError(f"support LP failed: {res.status}")
-    return res.objective
+    return res
+
+
+def _support(model: LpModel, alpha: float, beta: np.ndarray) -> float:
+    return _support_lp(model, alpha, beta).objective
+
+
+def _anchor_support(model: LpModel, rows: np.ndarray, held: list[int], alpha: float, beta: np.ndarray) -> float:
+    """Support of the polytope of all ``rows`` in direction (alpha, beta),
+    from ``model``, which holds the rows listed in ``held``.
+
+    Solve, add the row outside the model that the answer violates most
+    (ties to the lowest index; violated means eta above the row's
+    right-hand side by more than ``at_most`` allows), and solve again,
+    until no row is violated.  The last answer is optimal over a subset of
+    the rows and satisfies all of them, so it is the full LP's optimum.
+    Each round adds a row not yet in the model, so the loop ends.  The
+    model and ``held`` keep the added rows for the next direction."""
+    while True:
+        res = _support_lp(model, alpha, beta)
+        eta, x = res.x[0], res.x[1:]
+        rhs = rows[:, 0] + rows[:, 1:] @ x
+        excess = np.where(at_most(eta, rhs), -np.inf, eta - rhs)
+        excess[held] = -np.inf
+        k = int(np.argmax(excess))
+        if excess[k] == -np.inf:
+            return res.objective
+        held.append(k)
+        _add_anchor_rows(model, rows[k : k + 1])
 
 
 def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullCheckReport:
@@ -116,11 +151,13 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
     if inst.n > 10:
         raise CapExceededError("hull check enumerates 2^n integer points; n must stay small")
     rng = np.random.default_rng(seed)
-    anchor = _anchor_polytope(inst, y)
-    assign = _assignment_polytope(inst, y)
     cy = compute_cy(inst, y)
+    rows = _anchor_rows(inst, y, cy)
+    held = [int(np.argmin(rows[:, 0]))]  # any one row bounds eta over the unit box
+    anchor = _anchor_polytope(inst, rows[held])
+    assign = _assignment_polytope(inst, y)
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n)))  # (2^n, n)
-    values = np.array([share_of_set(cy, inst.w, open_sites(x)) for x in corners])
+    values = (corners[:, None, :] * cy).max(axis=2) @ inst.w  # share of each corner's open set
     worst = 0.0
     for _ in range(trials):
         d = rng.normal(size=1 + inst.n)
@@ -129,7 +166,7 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
             d = rng.normal(size=1 + inst.n)
             d /= np.linalg.norm(d)
         alpha, beta = float(d[0]), d[1:]
-        s_anchor = _support(anchor, alpha, beta)
+        s_anchor = _anchor_support(anchor, rows, held, alpha, beta)
         s_assign = _support(assign, alpha, beta)
         s_points = float((alpha * values + corners @ beta).max())
         worst = max(

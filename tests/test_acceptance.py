@@ -185,9 +185,10 @@ def test_criterion_7_scaled_benchmark():
         assert rep_ef.status == "optimal" and t_ef < 300.0, f"EF p={p} r={r} {t_ef:.1f}s"
         assert abs(rep_gsf.objective - rep_ef.objective) <= 1e-9
         opt = rep_gsf.objective
-        _, rg_gsf = root_relaxation(inst, BncConfig(formulation="GSF"), true_opt=opt)
-        _, rg_ef = root_relaxation(inst, BncConfig(formulation="EF"), true_opt=opt)
-        _, rg_sf = root_relaxation(inst, BncConfig(formulation="SF"), true_opt=opt)
+        _, rg_gsf, st_gsf = root_relaxation(inst, BncConfig(formulation="GSF"), true_opt=opt)
+        _, rg_ef, st_ef = root_relaxation(inst, BncConfig(formulation="EF"), true_opt=opt)
+        _, rg_sf, st_sf = root_relaxation(inst, BncConfig(formulation="SF"), true_opt=opt)
+        assert st_gsf == st_ef == st_sf == "optimal"
         assert abs(rg_gsf - rg_ef) <= 0.01, f"root gaps differ: {rg_gsf:.4f} vs {rg_ef:.4f}"
         assert rg_gsf <= rg_sf + 1e-9, f"dominance violated: {rg_gsf:.4f} > {rg_sf:.4f}"
         results.append((p, r, opt, rg_gsf, rg_sf, t_gsf, t_ef))

@@ -43,9 +43,10 @@ def test_single_leader_choice_short_circuits(form):
     assert done["event"] == "done" and done["objective"] == rep.objective
     # the root bound is the exact value, and the gap is taken against true_opt
     for true_opt, gap in ((val, 0.0), (val / 2, 100.0)):
-        bound, rg = root_relaxation(inst, BncConfig(formulation=form), true_opt=true_opt)
+        bound, rg, status = root_relaxation(inst, BncConfig(formulation=form), true_opt=true_opt)
         assert bound == pytest.approx(val, rel=1e-14)
         assert rg == pytest.approx(gap, abs=1e-9)
+        assert status == "optimal"
 
 
 @pytest.mark.parametrize("form", ["SF", "GSF", "EF"])
@@ -78,17 +79,29 @@ def test_equal_optima_across_formulations():
 
 
 def test_root_relaxation_goldens(golden):
-    bound, rg = root_relaxation(golden, BncConfig(formulation="GSF"), true_opt=4 / 3)
+    bound, rg, _ = root_relaxation(golden, BncConfig(formulation="GSF"), true_opt=4 / 3)
     assert bound == pytest.approx(4 / 3, abs=1e-9)
     assert abs(rg) < 1e-7
-    bound_ef, rg_ef = root_relaxation(golden, BncConfig(formulation="EF"), true_opt=4 / 3)
+    bound_ef, rg_ef, _ = root_relaxation(golden, BncConfig(formulation="EF"), true_opt=4 / 3)
     assert bound_ef == pytest.approx(4 / 3, abs=1e-9)
     assert abs(rg_ef) < 1e-7
     # classic root loop certifies nothing beyond its heuristics: bound stays
     # at or above the fully cut classic relaxation value 25/18
-    bound_sf, rg_sf = root_relaxation(golden, BncConfig(formulation="SF"), true_opt=4 / 3)
+    bound_sf, rg_sf, _ = root_relaxation(golden, BncConfig(formulation="SF"), true_opt=4 / 3)
     assert bound_sf >= 25 / 18 - 1e-9
     assert rg_sf >= (25 / 18 - 4 / 3) / (4 / 3) * 100.0 - 1e-6
+
+
+def test_root_relaxation_reports_a_clock_stop():
+    """A root loop stopped by the clock returns the base LP's bound, which
+    the status must tell apart from the finished root's."""
+    inst = generate_instance(GeneratorParams("biesinger", m=12, n=12, p=3, r=2, seed=7))
+    bound, rg, status = root_relaxation(inst, BncConfig(formulation="GSF", time_limit=1e-9), true_opt=42.711657)
+    assert status == "limit"
+    assert bound == pytest.approx(inst.total_demand, rel=1e-12)
+    full, full_rg, full_status = root_relaxation(inst, BncConfig(formulation="GSF"), true_opt=42.711657)
+    assert full_status == "optimal"
+    assert full < bound - 1.0 and full_rg < rg
 
 
 def test_root_gap_arithmetic_convention(golden):

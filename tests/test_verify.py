@@ -9,6 +9,8 @@ from scflp.market import open_sites
 from scflp.rmedian import CapExceededError
 from scflp.verify import (
     _anchor_polytope,
+    _anchor_rows,
+    _anchor_support,
     _assignment_polytope,
     _support,
     verify_aggregation,
@@ -24,14 +26,14 @@ Y_ALL = np.array([1, 1, 1], dtype=np.int8)
 
 def test_support_in_pure_eta_direction_is_full_market(golden):
     # without the cardinality row the best corner opens everything: 3/2
-    anchor = _anchor_polytope(golden, Y_ALL)
+    anchor = _anchor_polytope(golden, _anchor_rows(golden, Y_ALL, compute_cy(golden, Y_ALL)))
     assign = _assignment_polytope(golden, Y_ALL)
     assert _support(anchor, 1.0, np.zeros(3)) == pytest.approx(3 / 2, abs=1e-9)
     assert _support(assign, 1.0, np.zeros(3)) == pytest.approx(3 / 2, abs=1e-9)
 
 
 def test_support_with_x_forced_to_zero(golden):
-    anchor = _anchor_polytope(golden, Y_ALL)
+    anchor = _anchor_polytope(golden, _anchor_rows(golden, Y_ALL, compute_cy(golden, Y_ALL)))
     anchor.upper[1:] = 0.0
     assert _support(anchor, 1.0, np.zeros(3)) == pytest.approx(0.0, abs=1e-9)
 
@@ -78,7 +80,7 @@ def test_hull_checker_detects_envelope_aggregation_gap():
 
 def test_lp_descriptions_agree_even_where_hull_gap_exists():
     inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
-    anchor = _anchor_polytope(inst, HULL_GAP_Y)
+    anchor = _anchor_polytope(inst, _anchor_rows(inst, HULL_GAP_Y, compute_cy(inst, HULL_GAP_Y)))
     assign = _assignment_polytope(inst, HULL_GAP_Y)
     rng = np.random.default_rng(0)
     for _ in range(40):
@@ -90,6 +92,51 @@ def test_lp_descriptions_agree_even_where_hull_gap_exists():
         s1 = _support(anchor, float(d[0]), d[1:])
         s2 = _support(assign, float(d[0]), d[1:])
         assert abs(s1 - s2) < 1e-7
+
+
+def _directions(rng, size, count):
+    """count unit directions with weight above 0.1 on eta, drawn as
+    verify_hull draws them."""
+    out = []
+    while len(out) < count:
+        d = rng.normal(size=size)
+        d /= np.linalg.norm(d)
+        if d[0] > 0.1:
+            out.append((float(d[0]), d[1:]))
+    return out
+
+
+def test_anchor_support_on_demand_equals_the_explicit_lp():
+    """Adding anchor rows as they are needed gives the support of the
+    polytope of all rows, direction after direction on one model."""
+    rng = np.random.default_rng(97)
+    cases = [(Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5), HULL_GAP_Y)]
+    for _ in range(5):
+        inst = random_instance(rng, m=int(rng.integers(2, 5)), n=int(rng.integers(3, 7)))
+        cases.append((inst, random_choice(rng, inst.n, inst.r)))
+    for inst, y in cases:
+        rows = _anchor_rows(inst, y, compute_cy(inst, y))
+        full = _anchor_polytope(inst, rows)
+        held = [int(np.argmin(rows[:, 0]))]
+        part = _anchor_polytope(inst, rows[held])
+        for alpha, beta in _directions(rng, 1 + inst.n, 100):
+            assert abs(_anchor_support(part, rows, held, alpha, beta) - _support(full, alpha, beta)) <= 1e-9
+
+
+def test_anchor_support_adds_few_rows_each_once():
+    """After 200 directions the pinned instance's model holds fewer than
+    100 of its 2401 rows, none of them twice, in the order they joined."""
+    inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
+    rows = _anchor_rows(inst, HULL_GAP_Y, compute_cy(inst, HULL_GAP_Y))
+    held = [int(np.argmin(rows[:, 0]))]
+    model = _anchor_polytope(inst, rows[held])
+    for alpha, beta in _directions(np.random.default_rng(60_011), 7, 200):
+        _anchor_support(model, rows, held, alpha, beta)
+    assert len(rows) == 2401
+    assert model.nrows == len(held) < 100
+    assert len(set(held)) == len(held)
+    expected = [("<=", rows[k, 0], [(0, 1.0)] + [(1 + j, -c) for j, c in enumerate(rows[k, 1:]) if c != 0.0]) for k in held]
+    assert [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(model)] == expected
 
 
 def test_prop61_golden_traces(golden):
@@ -149,7 +196,7 @@ def test_verify_polytopes_match_per_row_reference():
         inst = random_instance(rng, m=int(rng.integers(2, 4)), n=int(rng.integers(2, 5)))
         y = random_choice(rng, inst.n, inst.r)
         cy = compute_cy(inst, y)
-        anchor = _anchor_polytope(inst, y)
+        anchor = _anchor_polytope(inst, _anchor_rows(inst, y, cy))
         expected = []
         for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
             cut = improved_cut(inst, y, np.array(ell), cy)
@@ -173,7 +220,7 @@ def test_anchor_polytope_matches_per_row_cuts_on_hull_gap_instance():
     the per-row improved_cut rows, in order, bit for bit."""
     inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
     cy = compute_cy(inst, HULL_GAP_Y)
-    rows = lp_rows(_anchor_polytope(inst, HULL_GAP_Y))
+    rows = lp_rows(_anchor_polytope(inst, _anchor_rows(inst, HULL_GAP_Y, cy)))
     anchors = list(itertools.product(range(7), repeat=4))
     assert len(rows) == len(anchors) == 2401
     for row, ell in zip(rows, anchors):
@@ -204,6 +251,8 @@ def test_anchor_checks_refuse_more_than_200k_anchor_vectors():
     inst = random_instance(rng, m=7, n=6)  # 7^7 = 823543 anchor vectors
     y = random_choice(rng, inst.n, inst.r)
     with pytest.raises(CapExceededError):
-        _anchor_polytope(inst, y)
+        _anchor_rows(inst, y, compute_cy(inst, y))
+    with pytest.raises(CapExceededError):
+        verify_hull(inst, y)
     with pytest.raises(CapExceededError):
         verify_prop61(inst, np.full(inst.n, 0.5), y)
