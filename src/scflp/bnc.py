@@ -82,12 +82,10 @@ class SolveReport:
 CSV_HEADER = "instance,formulation,objective,time_s,nodes,cuts,sep_time_s,root_gap_pct,status"
 
 
-def build_model(inst: Instance, formulation: str) -> LpModel:
-    """Base relaxation: objective variable eta capped by total demand,
-    leader variables in [0,1] summing to p, and for EF the allocation
-    variables with their linking rows, started from ``_ef_start_basis``."""
-    n, m = inst.n, inst.m
-    ncols = 1 + n + (m * n if formulation == "EF" else 0)
+def _base_model(inst: Instance, ncols: int) -> LpModel:
+    """Model of ncols columns that maximizes eta (column 0), capped by total
+    demand; every other column lies in [0,1], and the leader variables
+    (columns 1..n) sum to p."""
     obj = np.zeros(ncols)
     obj[0] = 1.0
     lower = np.zeros(ncols)
@@ -95,7 +93,16 @@ def build_model(inst: Instance, formulation: str) -> LpModel:
     upper = np.ones(ncols)
     upper[0] = inst.total_demand  # valid cap: every capture ratio is below 1
     model = LpModel(obj, lower, upper)
-    model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p))
+    model.add_row({1 + j: 1.0 for j in range(inst.n)}, "=", float(inst.p))
+    return model
+
+
+def build_model(inst: Instance, formulation: str) -> LpModel:
+    """Base relaxation: objective variable eta capped by total demand,
+    leader variables in [0,1] summing to p, and for EF the allocation
+    variables with their linking rows, started from ``_ef_start_basis``."""
+    n, m = inst.n, inst.m
+    model = _base_model(inst, 1 + n + (m * n if formulation == "EF" else 0))
     if formulation == "EF":
         add_linking_rows(model, m, n, 1 + n)
         model.set_basis(*_ef_start_basis(inst))

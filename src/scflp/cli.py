@@ -247,12 +247,13 @@ def _cmd_bench(args) -> int:
                 idx += 1
 
     labels, insts, cfgs = zip(*tasks)
+    workers = min(args.workers, len(tasks))  # the pool forks all its workers at the first task
     with _open_out(args.out) as csv:
-        if args.workers > 1:
+        if workers > 1:
             # imported here: multiprocessing would add ~15 ms to every CLI start
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(solve, insts, cfgs))
         else:
             reports = list(map(solve, insts, cfgs))

@@ -146,9 +146,7 @@ def _ratio_sums(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     a, u = a[:, cols], u[:, cols]
     (m, q), n = a.shape, v.shape[1]
     out = np.zeros((m, n))
-    if q == 0:
-        return out
-    step = max(1, _BLOCK_BYTES // (8 * q * n))
+    step = max(1, _BLOCK_BYTES // (8 * max(q, 1) * n))
     buf = np.empty((min(step, m), q, n))
     for s in range(0, m, step):
         e = min(s + step, m)

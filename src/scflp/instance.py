@@ -110,18 +110,31 @@ def _tokenize(text: str):
             yield lineno, line.split()
 
 
-def _parse_float(tok: str, lineno: int, what: str) -> float:
+def _next(lines, missing: str):
+    """Next (line_number, tokens) of lines; missing is the refusal at the end."""
     try:
-        return float(tok)
+        return next(lines)
+    except StopIteration:
+        raise InstanceError(missing) from None
+
+
+def _parse(cast, tok: str, lineno: int, what: str):
+    try:
+        return cast(tok)
     except ValueError:
         raise InstanceError(f"line {lineno}: bad {what} {tok!r}") from None
 
 
-def _parse_int(tok: str, lineno: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise InstanceError(f"line {lineno}: bad {what} {tok!r}") from None
+def _positives(lines, missing: str, count: int, what: str, things: str) -> np.ndarray:
+    """Next line of lines as exactly count positive, finite numbers; things
+    names them in the count refusal."""
+    lineno, toks = _next(lines, missing)
+    if len(toks) != count:
+        raise InstanceError(f"line {lineno}: expected {count} {things}, got {len(toks)}")
+    vals = np.array([_parse(float, t, lineno, what) for t in toks])
+    if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+        raise InstanceError(f"line {lineno}: non-positive {what}")
+    return vals
 
 
 def load_instance(text) -> Instance:
@@ -129,49 +142,18 @@ def load_instance(text) -> Instance:
     if hasattr(text, "read"):
         text = text.read()
     lines = _tokenize(text)
-
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise InstanceError("empty instance file") from None
+    lineno, toks = _next(lines, "empty instance file")
     if toks != FORMAT_HEADER.split():
         raise InstanceError(f"line {lineno}: malformed header {' '.join(toks)!r}, expected {FORMAT_HEADER!r}")
-
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise InstanceError("missing size line 'm n p r'") from None
+    lineno, toks = _next(lines, "missing size line 'm n p r'")
     if len(toks) != 4:
         raise InstanceError(f"line {lineno}: size line needs 4 integers 'm n p r', got {len(toks)}")
-    m, n, p, r = (_parse_int(t, lineno, "size field") for t in toks)
-
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise InstanceError("missing weight line") from None
-    if len(toks) != m:
-        raise InstanceError(f"line {lineno}: expected {m} weights, got {len(toks)}")
-    w = np.array([_parse_float(t, lineno, "weight") for t in toks])
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise InstanceError(f"line {lineno}: non-positive weight")
-
-    rows = []  # no array of shape (m, n) yet: Instance checks the sizes
-    for i in range(m):
-        try:
-            lineno, toks = next(lines)
-        except StopIteration:
-            raise InstanceError(f"missing attractiveness row {i + 1} of {m}") from None
-        if len(toks) != n:
-            raise InstanceError(f"line {lineno}: expected {n} attractiveness values, got {len(toks)}")
-        row = np.array([_parse_float(t, lineno, "attractiveness") for t in toks])
-        if np.any(row <= 0.0) or not np.all(np.isfinite(row)):
-            raise InstanceError(f"line {lineno}: non-positive attractiveness")
-        rows.append(row)
-
-    for lineno, toks in lines:
+    m, n, p, r = (_parse(int, t, lineno, "size field") for t in toks)
+    w = _positives(lines, "missing weight line", m, "weight", "weights")
+    v = [_positives(lines, f"missing attractiveness row {i + 1} of {m}", n, "attractiveness", "attractiveness values") for i in range(m)]
+    for lineno, _ in lines:
         raise InstanceError(f"line {lineno}: unexpected trailing data")
-
-    return Instance(m=m, n=n, w=w, v=np.array(rows), p=p, r=r)
+    return Instance(m=m, n=n, w=w, v=np.array(v), p=p, r=r)  # Instance checks the shapes
 
 
 def save_instance(inst: Instance) -> str:

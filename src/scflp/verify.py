@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnc import add_cut_row, add_eta_row, add_linking_rows, build_model
+from .bnc import _base_model, add_cut_row, add_eta_row, add_linking_rows, build_model
 from .cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut, tight_ell
 from .instance import Instance
 from .lp import LpModel, LpResult, lp_solve
@@ -234,14 +234,7 @@ def verify_aggregation(inst: Instance, trials: int = 5, seed: int = 0) -> Aggreg
     shared = full_lp_value(inst, "EF")
 
     m, n = inst.m, inst.n
-    ncols = 1 + n + len(y_list) * m * n
-    obj = np.zeros(ncols)
-    obj[0] = 1.0
-    lower = np.concatenate(([-np.inf], np.zeros(ncols - 1)))
-    upper = np.ones(ncols)
-    upper[0] = inst.total_demand
-    model = LpModel(obj, lower, upper)
-    model.add_row({1 + j: 1.0 for j in range(n)}, "=", float(inst.p))
+    model = _base_model(inst, 1 + n + len(y_list) * m * n)
     for t, y in enumerate(y_list):
         base = 1 + n + t * m * n
         add_linking_rows(model, m, n, base)

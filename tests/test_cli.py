@@ -170,6 +170,36 @@ def test_bench_parallel_workers_match_serial(golden_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_starts_no_more_workers_than_tasks(golden_file, tmp_path, monkeypatch, capsys):
+    """--workers above the task count starts one worker per task, and one
+    task runs in-process; the stub pool maps in-process and starts nothing."""
+    import concurrent.futures
+
+    asked = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    args = ["bench", "--in", golden_file, "--workers", "64", "--out"]
+    assert main(args + [str(tmp_path / "three.csv"), "--form", "SF,GSF,EF"]) == 0
+    assert asked == [3]
+    assert main(args + [str(tmp_path / "one.csv"), "--form", "GSF"]) == 0
+    assert asked == [3]
+    assert len((tmp_path / "three.csv").read_text().splitlines()) == 4
+    capsys.readouterr()
+
+
 def test_bench_solves_the_instance_it_names(tmp_path, monkeypatch, capsys):
     """bench solves the generated instance itself, and an --in file's
     instance as load_instance reads it, not a 12-digit re-save of either."""

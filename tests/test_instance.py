@@ -40,6 +40,12 @@ def test_load_comments_and_exponents():
         ("scflp 1\n1 2 1 1\n1\n1 nope\n", "bad attractiveness"),
         ("scflp 1\n2 2 1 1\n1 1\n1 1\n", "missing attractiveness row"),
         ("scflp 1\n1 1 1 1\n1\n1\n9\n", "trailing data"),
+        ("", "empty instance file"),
+        ("# only a comment\n", "empty instance file"),
+        ("scflp 1\n", "missing size line"),
+        ("scflp 1\n1 1 1 1\n", "missing weight line"),
+        ("scflp 1\n1 x 1 1\n1\n1\n", "line 2: bad size field"),
+        ("scflp 1\n1 1 1 1\nw\n1\n", "line 3: bad weight"),
     ],
 )
 def test_load_errors(text, fragment):

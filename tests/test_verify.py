@@ -168,6 +168,15 @@ def test_aggregation_single_customer():
     assert rep.max_greedy_gap < 1e-7
 
 
+def test_aggregation_refuses_beyond_its_caps():
+    """More than 200 follower choices, or m*n above 400, is refused before
+    any LP is built."""
+    rng = np.random.default_rng(8)
+    for m, n, r in ((2, 10, 5), (41, 10, 1)):  # C(10, 5) = 252 with m*n = 20; C(10, 1) = 10 with m*n = 410
+        with pytest.raises(CapExceededError, match="aggregation check"):
+            verify_aggregation(random_instance(rng, m=m, n=n, p=1, r=r))
+
+
 def test_aggregation_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(8):
