@@ -149,6 +149,9 @@ def load_instance(text) -> Instance:
     if len(toks) != 4:
         raise InstanceError(f"line {lineno}: size line needs 4 integers 'm n p r', got {len(toks)}")
     m, n, p, r = (_parse(int, t, lineno, "size field") for t in toks)
+    for name, size in (("m", m), ("n", n)):
+        if size < 1:  # else the weight or attractiveness count would refuse the next line
+            raise InstanceError(f"line {lineno}: {name}={size}, must be at least 1")
     w = _positives(lines, "missing weight line", m, "weight", "weights")
     v = [_positives(lines, f"missing attractiveness row {i + 1} of {m}", n, "attractiveness", "attractiveness values") for i in range(m)]
     for lineno, _ in lines:

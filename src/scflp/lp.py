@@ -15,9 +15,15 @@ index.  An append is a fixed handful of numpy calls whatever its size: the
 repeat check sorts only a block whose columns fall inside a row, and row
 ids are filled when the rows are handed to HiGHS, in one call per solve.
 
-Each model owns one persistent HiGHS instance, created on its first solve:
-single-threaded dual simplex, no presolve, output off, so identical call
-sequences give identical results.  A solve hands HiGHS the slice of rows
+Each model holds one persistent HiGHS instance from its first solve until
+it is collected: single-threaded dual simplex, no presolve, output off, so
+identical call sequences give identical results.  Instances are reused
+across models: a collected model that was solved clears its instance
+(``clearModel``, which keeps the options) and puts it on a process-wide
+idle list, and a model's first solve takes the most recently returned one,
+creating and configuring a new instance only when the list is empty.  A
+cleared instance solves a new model as a new instance does, bit for bit,
+without paying HiGHS's set-up again.  A solve hands HiGHS the slice of rows
 added since the previous one, pushes the current column bounds and
 objective (callers change them in place or reassign them between solves),
 and runs from the previous basis -- every solve after the first is warm,
@@ -100,19 +106,32 @@ _OPTIONS = {"output_flag": False, "threads": 1, "solver": "simplex", "simplex_st
 _SENSES = ("<=", ">=", "=")
 _BS = highs_core.HighsBasisStatus
 _BASIS_STATUS = np.array([_BS.kLower, _BS.kBasic, _BS.kUpper], dtype=object)  # indexed by status code
+_IDLE = []  # cleared HiGHS instances of collected models, options set; see the module docstring
+
+
+def _take_highs():
+    """An idle HiGHS instance, or a new one with the options set."""
+    try:
+        return _IDLE.pop()  # one call, so two threads never pop the same instance
+    except IndexError:
+        pass
+    highs = highs_core._Highs()
+    for key, value in _OPTIONS.items():
+        highs.setOptionValue(key, value)
+    return highs
 
 
 class LpModel:
     """Dense-column maximization LP with mutable variable bounds."""
 
     def __init__(self, objective, lower, upper):
+        self._highs = None  # taken on the first solve; set first for __del__
         self.objective = np.asarray(objective, dtype=float).copy()
         self.lower = np.asarray(lower, dtype=float).copy()
         self.upper = np.asarray(upper, dtype=float).copy()
         self.ncols = self.objective.size
         if self.lower.shape != (self.ncols,) or self.upper.shape != (self.ncols,):
             raise ValueError("bound arrays must match the objective length")
-        self._highs = None  # created on the first solve
         self._cols = np.arange(self.ncols, dtype=np.int32)
         self._synced = 0  # rows already passed to HiGHS
         self._basis = None  # (col codes, row codes) for the next solve, from set_basis
@@ -127,6 +146,12 @@ class LpModel:
         self._start = np.zeros(1, np.int64)  # row k: nonzeros _start[k] to _start[k + 1]
         self._row_lo = np.empty(0)
         self._row_hi = np.empty(0)
+
+    def __del__(self):
+        highs = self._highs
+        if highs is not None:
+            highs.clearModel()
+            _IDLE.append(highs)
 
     def _reserve(self, nnz: int, nrows: int):
         """Grow the row store to hold nnz nonzeros and nrows rows; a group
@@ -259,9 +284,7 @@ class LpModel:
             if bad.size:
                 raise ValueError(f"column {bad[0]} has a non-finite objective coefficient")
         if self._highs is None:
-            self._highs = highs_core._Highs()
-            for key, value in _OPTIONS.items():
-                self._highs.setOptionValue(key, value)
+            self._highs = _take_highs()
             _check(self._highs.addVars(self.ncols, self.lower, self.upper), "addVars")
             self._highs.changeObjectiveSense(highs_core.ObjSense.kMaximize)
         r0, r1 = self._synced, self._nrows

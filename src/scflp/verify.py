@@ -10,11 +10,19 @@ and touch the integer points at every integral leader vector; the check
 reports any direction where they rise above the integer hull (which does
 happen: the per-customer aggregation can be strictly looser than the
 true hull at fractional points, with no effect on solver exactness).
-The anchor-cut polytope's (n+1)^m rows are all built, but its support
-LPs start from one of them and add the others as they are needed: after
-each solve, the explicit row the answer violates most joins the model,
-until the answer satisfies every row of the list.  The rows are tested
-against the list itself, not through the solver's separation.
+The two LP descriptions are held as independent blocks of one model per
+call, the assignment block first, and each direction is solved once on
+both: the blocks share no row or column, so a block-diagonal LP's optimum
+is the sum of its blocks' optima (Dantzig and Wolfe 1960), and each
+block's part of the answer gives its own description's support.  The
+anchor-cut polytope's (n+1)^m rows are all built, but its block starts
+from one of them and adds the others as they are needed: after each
+solve, the explicit row the anchor part violates most joins the model,
+and the same model is solved again, until the anchor part satisfies every
+row of the list.  The rows are tested against the list itself, not
+through the solver's separation.  ``_anchor_polytope`` and
+``_assignment_polytope`` build each description as a standalone LP, the
+explicit references the tests compare the blocks with.
 
 ``verify_prop61`` cross-checks the anchor-cut separation reduction
 against a literal minimization over all anchor vectors,
@@ -36,7 +44,7 @@ import numpy as np
 from .bnc import _base_model, add_cut_row, add_eta_row, add_linking_rows, build_model
 from .cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut, tight_ell
 from .instance import Instance
-from .lp import LpModel, LpResult, lp_solve
+from .lp import LpModel, lp_solve
 from .market import compute_cy, indicator, open_sites
 from .oracle import full_lp_value
 from .rmedian import CapExceededError
@@ -74,75 +82,92 @@ def _anchor_rows(inst: Instance, y, cy: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _add_anchor_rows(model: LpModel, rows: np.ndarray) -> None:
-    """Append ``_anchor_rows`` rows [constant, xcoef] to a model whose
-    columns start with eta and x, as eta - xcoef.x <= constant: dense rows
-    [1, -xcoef] over (eta, x), whose zeros add_rows drops."""
+def _add_anchor_rows(model: LpModel, rows: np.ndarray, first: int) -> None:
+    """Append ``_anchor_rows`` rows [constant, xcoef] as
+    eta - xcoef.x <= constant, over the columns eta, x that start at
+    ``first``: dense rows [1, -xcoef], whose zeros add_rows drops."""
     width = rows.shape[1]
     dense = np.ones_like(rows)
     np.negative(rows[:, 1:], out=dense[:, 1:])
-    model.add_rows(np.arange(0, dense.size + 1, width), np.tile(np.arange(width), len(rows)), dense.ravel(), "<=", rows[:, 0])
+    cols = np.tile(np.arange(first, first + width), len(rows))
+    model.add_rows(np.arange(0, dense.size + 1, width), cols, dense.ravel(), "<=", rows[:, 0])
+
+
+def _box(*widths: int) -> LpModel:
+    """Zero-objective model of blocks of the given widths, each a free eta
+    column followed by columns in [0, 1]; no rows."""
+    lower = np.concatenate([np.r_[-np.inf, np.zeros(w - 1)] for w in widths])
+    upper = np.concatenate([np.r_[np.inf, np.ones(w - 1)] for w in widths])
+    return LpModel(np.zeros(lower.size), lower, upper)
+
+
+def _add_assignment_rows(model: LpModel, inst: Instance, y) -> None:
+    """The linking rows and the single cut for y, over the columns eta, x, z
+    at the start of the model."""
+    add_linking_rows(model, inst.m, inst.n, 1 + inst.n)
+    add_cut_row(model, inst, ef_cut(inst, y))
 
 
 def _anchor_polytope(inst: Instance, rows: np.ndarray) -> LpModel:
     """eta and x columns, the given ``_anchor_rows`` rows, unit box, no
-    cardinality row."""
-    obj = np.zeros(1 + inst.n)
-    lower = np.concatenate(([-np.inf], np.zeros(inst.n)))
-    upper = np.concatenate(([np.inf], np.ones(inst.n)))
-    model = LpModel(obj, lower, upper)
-    _add_anchor_rows(model, rows)
+    cardinality row: the anchor description as an explicit LP."""
+    model = _box(1 + inst.n)
+    _add_anchor_rows(model, rows, 0)
     return model
 
 
 def _assignment_polytope(inst: Instance, y) -> LpModel:
-    """eta, x, z columns with the linking rows and the single cut for y."""
-    m, n = inst.m, inst.n
-    obj = np.zeros(1 + n + m * n)
-    lower = np.concatenate(([-np.inf], np.zeros(n + m * n)))
-    upper = np.concatenate(([np.inf], np.ones(n + m * n)))
-    model = LpModel(obj, lower, upper)
-    add_linking_rows(model, m, n, 1 + n)
-    add_cut_row(model, inst, ef_cut(inst, y))
+    """eta, x, z columns with the linking rows and the single cut for y:
+    the assignment description as a standalone LP."""
+    model = _box(1 + inst.n + inst.m * inst.n)
+    _add_assignment_rows(model, inst, y)
     return model
 
 
-def _support_lp(model: LpModel, alpha: float, beta: np.ndarray) -> LpResult:
-    model.objective = np.zeros(model.ncols)
-    model.objective[0] = alpha
-    model.objective[1 : 1 + beta.size] = beta
-    res = lp_solve(model)
-    if res.status != "optimal":
-        raise RuntimeError(f"support LP failed: {res.status}")
-    return res
+def _hull_model(inst: Instance, y, rows: np.ndarray, held: list[int]) -> LpModel:
+    """Both descriptions as independent blocks of one LP: the assignment
+    block on columns [eta, x, z], then the anchor block on [eta, x] holding
+    the ``rows`` listed in ``held``.  No row or column is shared."""
+    m, n = inst.m, inst.n
+    model = _box(1 + n + m * n, 1 + n)
+    _add_assignment_rows(model, inst, y)
+    _add_anchor_rows(model, rows[held], 1 + n + m * n)
+    return model
 
 
-def _support(model: LpModel, alpha: float, beta: np.ndarray) -> float:
-    return _support_lp(model, alpha, beta).objective
+def _supports(model: LpModel, rows: np.ndarray, held: list[int], alpha: float, beta: np.ndarray) -> tuple[float, float]:
+    """(anchor, assignment) supports in direction (alpha, beta) from a
+    ``_hull_model`` whose anchor block holds the ``rows`` listed in ``held``.
 
-
-def _anchor_support(model: LpModel, rows: np.ndarray, held: list[int], alpha: float, beta: np.ndarray) -> float:
-    """Support of the polytope of all ``rows`` in direction (alpha, beta),
-    from ``model``, which holds the rows listed in ``held``.
-
-    Solve, add the row outside the model that the answer violates most
-    (ties to the lowest index; violated means eta above the row's
-    right-hand side by more than ``at_most`` allows), and solve again,
-    until no row is violated.  The last answer is optimal over a subset of
-    the rows and satisfies all of them, so it is the full LP's optimum.
-    Each round adds a row not yet in the model, so the loop ends.  The
-    model and ``held`` keep the added rows for the next direction."""
+    Both blocks get the direction and one LP is solved: a block-diagonal
+    LP's optimum is the sum of its blocks' optima, so each block's part of
+    the answer is optimal for that block alone.  Then the row outside the
+    model that the anchor part violates most (ties to the lowest index;
+    violated means eta above the row's right-hand side by more than
+    ``at_most`` allows) joins the anchor block, and the model is solved
+    again, until no row is violated.  The last anchor part is optimal over
+    a subset of the rows and satisfies all of them, so it is the optimum of
+    the anchor polytope of all rows.  Each round adds a row not yet in the
+    model, so the loop ends.  The model and ``held`` keep the added rows
+    for the next direction."""
+    a0 = model.ncols - rows.shape[1]  # first anchor column
+    obj = np.zeros(model.ncols)
+    obj[0] = obj[a0] = alpha
+    obj[1 : 1 + beta.size] = obj[a0 + 1 :] = beta
+    model.objective = obj
     while True:
-        res = _support_lp(model, alpha, beta)
-        eta, x = res.x[0], res.x[1:]
+        res = lp_solve(model)
+        if res.status != "optimal":
+            raise RuntimeError(f"support LP failed: {res.status}")
+        eta, x = res.x[a0], res.x[a0 + 1 :]
         rhs = rows[:, 0] + rows[:, 1:] @ x
         excess = np.where(at_most(eta, rhs), -np.inf, eta - rhs)
         excess[held] = -np.inf
         k = int(np.argmax(excess))
         if excess[k] == -np.inf:
-            return res.objective
+            return float(obj[a0:] @ res.x[a0:]), float(obj[:a0] @ res.x[:a0])
         held.append(k)
-        _add_anchor_rows(model, rows[k : k + 1])
+        _add_anchor_rows(model, rows[k : k + 1], a0)
 
 
 def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullCheckReport:
@@ -154,8 +179,7 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
     cy = compute_cy(inst, y)
     rows = _anchor_rows(inst, y, cy)
     held = [int(np.argmin(rows[:, 0]))]  # any one row bounds eta over the unit box
-    anchor = _anchor_polytope(inst, rows[held])
-    assign = _assignment_polytope(inst, y)
+    model = _hull_model(inst, y, rows, held)
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n)))  # (2^n, n)
     values = (corners[:, None, :] * cy).max(axis=2) @ inst.w  # share of each corner's open set
     worst = 0.0
@@ -166,8 +190,7 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
             d = rng.normal(size=1 + inst.n)
             d /= np.linalg.norm(d)
         alpha, beta = float(d[0]), d[1:]
-        s_anchor = _anchor_support(anchor, rows, held, alpha, beta)
-        s_assign = _support(assign, alpha, beta)
+        s_anchor, s_assign = _supports(model, rows, held, alpha, beta)
         s_points = float((alpha * values + corners @ beta).max())
         worst = max(
             worst,
@@ -198,7 +221,7 @@ def enumerate_gsf_value(inst: Instance) -> float:
     model = build_model(inst, "GSF")
     for combo in itertools.combinations(range(inst.n), inst.r):
         y = indicator(inst.n, combo)
-        _add_anchor_rows(model, _anchor_rows(inst, y, compute_cy(inst, y)))
+        _add_anchor_rows(model, _anchor_rows(inst, y, compute_cy(inst, y)), 0)
     res = lp_solve(model)
     if res.status != "optimal":
         raise RuntimeError(f"GSF explicit-family LP failed: {res.status}")

@@ -46,6 +46,9 @@ def test_load_comments_and_exponents():
         ("scflp 1\n1 1 1 1\n", "missing weight line"),
         ("scflp 1\n1 x 1 1\n1\n1\n", "line 2: bad size field"),
         ("scflp 1\n1 1 1 1\nw\n1\n", "line 3: bad weight"),
+        ("scflp 1\n0 2 1 1\n1\n", "line 2: m=0, must be at least 1"),
+        ("scflp 1\n-1 2 1 1\n1\n", "line 2: m=-1, must be at least 1"),
+        ("scflp 1\n1 0 1 1\n1\n1\n", "line 2: n=0, must be at least 1"),
     ],
 )
 def test_load_errors(text, fragment):

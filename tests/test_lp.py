@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from scflp import lp
 from scflp.bnc import add_cut_row, build_model
-from scflp.cuts import ef_cut, improved_cut, submodular_cut
+from scflp.cuts import ef_cut, improved_cut, submodular_cut, tight_ell
 from scflp.lp import LpModel, highs_core, lp_solve
 
-from conftest import golden_instance
+from conftest import golden_instance, random_choice, random_instance
 from lp_rows import lp_rows
 from tableau_simplex import tableau_simplex_max
 from test_cuts import GOLDEN_GSF, Y_ALL
@@ -556,3 +557,89 @@ def test_model_refuses_bounds_of_another_length():
     for lower, upper in (([0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, 1.0, 1.0])):
         with pytest.raises(ValueError, match="bound arrays must match the objective length"):
             LpModel([1.0, 0.0], lower, upper)
+
+
+def _cut_round_trace(inst, form: str, y) -> list:
+    """Build the formulation's model and solve it, add one cut of its kind
+    for y and solve again: each solve's x bytes, objective and HiGHS
+    iteration count.  The model is collected on return."""
+    model = build_model(inst, form)
+    trace = []
+    for _ in range(2):
+        res = lp_solve(model)
+        trace.append((res.x.tobytes(), res.objective, model._highs.getInfo().simplex_iteration_count))
+        x = res.x[1 : 1 + inst.n]
+        if form == "SF":
+            cut = submodular_cut(inst, y, np.flatnonzero(x > 0.5))
+        elif form == "GSF":
+            cut = improved_cut(inst, y, tight_ell(inst, x))
+        else:
+            cut = ef_cut(inst, y)
+        add_cut_row(model, inst, cut)
+    return trace
+
+
+def test_reused_instance_solves_like_a_new_one(monkeypatch):
+    """A model built after another is collected gets that model's HiGHS
+    instance, and solves as on a new instance, bit for bit: the same x,
+    objective and iteration count on every solve, for SF, GSF and an EF
+    model started from its set basis."""
+    monkeypatch.setattr(lp, "_IDLE", [])
+    rng = np.random.default_rng(17)
+    for form in ("SF", "GSF", "EF"):
+        inst = random_instance(rng, m=6, n=8, p=3, r=2)
+        y = random_choice(rng, inst.n, inst.r)
+        lp._IDLE.clear()
+        fresh = _cut_round_trace(inst, form, y)
+        other = build_model(random_instance(rng, m=7, n=9, p=2, r=3), "EF")  # takes the instance back
+        lp_solve(other)
+        other.objective[1:] = rng.normal(size=other.ncols - 1)
+        lp_solve(other)
+        used = other._highs
+        del other
+        assert lp._IDLE == [used]
+        reused = _cut_round_trace(inst, form, y)
+        assert lp._IDLE == [used]  # the traced model had it and gave it back
+        assert reused == fresh
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_model_never_solved_adds_nothing_to_the_idle_list(monkeypatch):
+    monkeypatch.setattr(lp, "_IDLE", [])
+    model = LpModel([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.5)
+    del model
+    with pytest.raises(ValueError):
+        LpModel([1.0, 0.0], [0.0], [1.0])  # refused in __init__
+    assert lp._IDLE == []
+
+
+def test_reused_instance_keeps_every_option(monkeypatch):
+    monkeypatch.setattr(lp, "_IDLE", [])
+    model = LpModel([1.0], [0.0], [1.0])
+    lp_solve(model)
+    highs = model._highs
+    del model
+    again = LpModel([2.0], [0.0], [3.0])
+    assert lp_solve(again).objective == 6.0
+    assert again._highs is highs
+    for key, value in lp._OPTIONS.items():
+        assert highs.getOptionValue(key)[1] == value
+
+
+def test_instance_changed_inside_highs_comes_back_cleared(monkeypatch):
+    """Rows loosened inside HiGHS only, as in the residual-gate test, do not
+    reach the next model that takes the instance."""
+    monkeypatch.setattr(lp, "_IDLE", [])
+    model = LpModel([1.0, 1.0], [0.0, 0.0], [10.0, 10.0])
+    model.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
+    lp_solve(model)
+    highs = model._highs
+    highs.changeRowBounds(0, -np.inf, 5.0)
+    del model
+    assert (highs.getNumCol(), highs.getNumRow()) == (0, 0)
+    again = LpModel([1.0, 1.0], [0.0, 0.0], [10.0, 10.0])
+    again.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
+    res = lp_solve(again)
+    assert again._highs is highs
+    assert res.status == "optimal" and res.objective == pytest.approx(1.0, abs=1e-12)

@@ -5,14 +5,15 @@ import pytest
 
 from scflp import Instance, compute_cy
 from scflp.cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut
+from scflp.lp import lp_solve
 from scflp.market import open_sites
 from scflp.rmedian import CapExceededError
 from scflp.verify import (
     _anchor_polytope,
     _anchor_rows,
-    _anchor_support,
     _assignment_polytope,
-    _support,
+    _hull_model,
+    _supports,
     verify_aggregation,
     verify_hull,
     verify_prop61,
@@ -22,6 +23,17 @@ from conftest import random_choice, random_instance
 from lp_rows import lp_rows
 
 Y_ALL = np.array([1, 1, 1], dtype=np.int8)
+
+
+def _support(model, alpha, beta):
+    """Support in direction (alpha, beta) of a standalone description whose
+    columns start with eta and x: one LP, solved from its previous basis."""
+    model.objective = np.zeros(model.ncols)
+    model.objective[0] = alpha
+    model.objective[1 : 1 + beta.size] = beta
+    res = lp_solve(model)
+    assert res.status == "optimal"
+    return res.objective
 
 
 def test_support_in_pure_eta_direction_is_full_market(golden):
@@ -107,8 +119,9 @@ def _directions(rng, size, count):
 
 
 def test_anchor_support_on_demand_equals_the_explicit_lp():
-    """Adding anchor rows as they are needed gives the support of the
-    polytope of all rows, direction after direction on one model."""
+    """Adding anchor rows to the block model as they are needed gives the
+    support of the polytope of all rows, direction after direction on one
+    model."""
     rng = np.random.default_rng(97)
     cases = [(Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5), HULL_GAP_Y)]
     for _ in range(5):
@@ -118,25 +131,51 @@ def test_anchor_support_on_demand_equals_the_explicit_lp():
         rows = _anchor_rows(inst, y, compute_cy(inst, y))
         full = _anchor_polytope(inst, rows)
         held = [int(np.argmin(rows[:, 0]))]
-        part = _anchor_polytope(inst, rows[held])
+        model = _hull_model(inst, y, rows, held)
         for alpha, beta in _directions(rng, 1 + inst.n, 100):
-            assert abs(_anchor_support(part, rows, held, alpha, beta) - _support(full, alpha, beta)) <= 1e-9
+            s_anchor, _ = _supports(model, rows, held, alpha, beta)
+            assert abs(s_anchor - _support(full, alpha, beta)) <= 1e-9
+
+
+def test_each_block_support_equals_its_standalone_lp():
+    """On random desk-size instances and directions, each block of the
+    block model gives the support of its description's standalone LP:
+    the anchor polytope of all rows, and the assignment polytope."""
+    rng = np.random.default_rng(113)
+    for _ in range(8):
+        inst = random_instance(rng, m=int(rng.integers(2, 5)), n=int(rng.integers(3, 9)))
+        y = random_choice(rng, inst.n, inst.r)
+        rows = _anchor_rows(inst, y, compute_cy(inst, y))
+        anchor, assign = _anchor_polytope(inst, rows), _assignment_polytope(inst, y)
+        held = [int(np.argmin(rows[:, 0]))]
+        model = _hull_model(inst, y, rows, held)
+        for alpha, beta in _directions(rng, 1 + inst.n, 25):
+            s_anchor, s_assign = _supports(model, rows, held, alpha, beta)
+            assert abs(s_anchor - _support(anchor, alpha, beta)) <= 1e-9
+            assert abs(s_assign - _support(assign, alpha, beta)) <= 1e-9
 
 
 def test_anchor_support_adds_few_rows_each_once():
-    """After 200 directions the pinned instance's model holds fewer than
-    100 of its 2401 rows, none of them twice, in the order they joined."""
+    """After 200 directions the pinned instance's block model holds, after
+    its assignment rows, fewer than 100 of its 2401 anchor rows, none of
+    them twice, in the order they joined, on the anchor block's columns."""
     inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
     rows = _anchor_rows(inst, HULL_GAP_Y, compute_cy(inst, HULL_GAP_Y))
     held = [int(np.argmin(rows[:, 0]))]
-    model = _anchor_polytope(inst, rows[held])
+    model = _hull_model(inst, HULL_GAP_Y, rows, held)
     for alpha, beta in _directions(np.random.default_rng(60_011), 7, 200):
-        _anchor_support(model, rows, held, alpha, beta)
+        _supports(model, rows, held, alpha, beta)
+    assign = lp_rows(_assignment_polytope(inst, HULL_GAP_Y))
+    a0 = 1 + 6 + 4 * 6
     assert len(rows) == 2401
-    assert model.nrows == len(held) < 100
+    assert model.nrows - len(assign) == len(held) < 100
     assert len(set(held)) == len(held)
-    expected = [("<=", rows[k, 0], [(0, 1.0)] + [(1 + j, -c) for j, c in enumerate(rows[k, 1:]) if c != 0.0]) for k in held]
-    assert [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(model)] == expected
+    expected = [
+        ("<=", rows[k, 0], [(a0, 1.0)] + [(a0 + 1 + j, -c) for j, c in enumerate(rows[k, 1:]) if c != 0.0]) for k in held
+    ]
+    got = [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(model)]
+    assert got[: len(assign)] == [(r.sense, r.rhs, list(r.coef.items())) for r in assign]
+    assert got[len(assign) :] == expected
 
 
 def test_prop61_golden_traces(golden):
