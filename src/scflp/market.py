@@ -23,6 +23,15 @@ def open_sites(bits) -> np.ndarray:
     return (np.asarray(bits) > 0.5).ravel().nonzero()[0]
 
 
+def _open_of(inst: Instance, bits, name: str) -> np.ndarray:
+    """Open sites of a 0/1 vector over the instance's n sites; a vector of
+    any other length is refused, not read as a shorter or wider choice."""
+    bits = np.asarray(bits)
+    if bits.shape != (inst.n,):
+        raise ValueError(f"{name} has shape {bits.shape}, expected a vector of length n = {inst.n}")
+    return open_sites(bits)
+
+
 def indicator(n: int, sites) -> np.ndarray:
     y = np.zeros(n, dtype=np.int8)
     y[list(sites)] = 1
@@ -36,7 +45,7 @@ def compute_cy(inst: Instance, y) -> np.ndarray:
     implicitly.  Rejects an all-zero y, whose denominator term would vanish.
     Within every row the ordering of c matches the ordering of v, whatever y.
     """
-    ys = open_sites(y)
+    ys = _open_of(inst, y, "follower choice")
     if ys.size == 0:
         raise ValueError("follower choice must open at least one site")
     vy = inst.v[:, ys].max(axis=1)  # (m,)
@@ -57,7 +66,7 @@ def share_of_set(cy: np.ndarray, w: np.ndarray, sites) -> float:
 
 def leader_share(inst: Instance, x, y) -> float:
     """Leader market share g(x, y); 0.0 for an all-zero x (empty-set convention)."""
-    return share_of_set(compute_cy(inst, y), inst.w, open_sites(x))
+    return share_of_set(compute_cy(inst, y), inst.w, _open_of(inst, x, "leader choice"))
 
 
 def response_costs(inst: Instance, x) -> RMedianInstance:
@@ -70,7 +79,7 @@ def response_costs(inst: Instance, x) -> RMedianInstance:
     x's one-hot greedy allocation, so a separation solve can serve as the
     best response (spelled out here because ``cuts`` imports this module).
     """
-    xs = open_sites(x)
+    xs = _open_of(inst, x, "leader choice")
     if xs.size == 0:
         raise ValueError("leader choice must open at least one site")
     ci = inst.v[:, xs].max(axis=1)

@@ -16,7 +16,8 @@ both: the blocks share no row or column, so a block-diagonal LP's optimum
 is the sum of its blocks' optima (Dantzig and Wolfe 1960), and each
 block's part of the answer gives its own description's support.  The
 anchor-cut polytope's (n+1)^m rows are all built, but its block starts
-from one of them and adds the others as they are needed: after each
+from the rows tight at the integer points, at most min(2^n, (n+1)^m) of
+them (``_tight_rows``), and adds the others as they are needed: after each
 solve, the explicit row the anchor part violates most joins the model,
 and the same model is solved again, until the anchor part satisfies every
 row of the list.  The rows are tested against the list itself, not
@@ -80,6 +81,20 @@ def _anchor_rows(inst: Instance, y, cy: np.ndarray) -> np.ndarray:
             terms[ell, 1:] = cut.xcoef
         rows = terms if rows is None else (rows[:, None, :] + terms).reshape(-1, 1 + n)
     return rows
+
+
+def _tight_rows(inst: Instance, corners: np.ndarray) -> list[int]:
+    """Sorted distinct ``_anchor_rows`` indices of the rows tight at the
+    given 0/1 corners.  At 1_S every customer anchors at the first site of
+    its ``sigma`` row that lies in S, or at the virtual site n when S is
+    empty; that row equals the share of S at 1_S, as the classic submodular
+    cut of S does.  An anchor vector's index is its place in the product
+    order, customer 0 most significant.  The empty set's row, all anchors
+    at n, is the one row with constant 0, the smallest."""
+    m, n = inst.m, inst.n
+    inside = corners[:, inst.sigma] > 0.5  # [s, i, k]: site sigma[i, k] is open at corner s
+    ell = np.where(inside.any(axis=2), inst.sigma[np.arange(m), inside.argmax(axis=2)], n)
+    return np.unique(ell @ (n + 1) ** np.arange(m - 1, -1, -1)).tolist()
 
 
 def _add_anchor_rows(model: LpModel, rows: np.ndarray, first: int) -> None:
@@ -178,9 +193,9 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
     rng = np.random.default_rng(seed)
     cy = compute_cy(inst, y)
     rows = _anchor_rows(inst, y, cy)
-    held = [int(np.argmin(rows[:, 0]))]  # any one row bounds eta over the unit box
-    model = _hull_model(inst, y, rows, held)
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n)))  # (2^n, n)
+    held = _tight_rows(inst, corners)  # the rows tight at the corners; the rest join on demand
+    model = _hull_model(inst, y, rows, held)
     values = (corners[:, None, :] * cy).max(axis=2) @ inst.w  # share of each corner's open set
     worst = 0.0
     for _ in range(trials):

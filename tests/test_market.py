@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from scflp import Instance, compute_cy, follower_best_response, leader_share
+from scflp import GeneratorParams, Instance, compute_cy, follower_best_response, generate_instance, leader_share
 from scflp.market import indicator, response_costs, share_of_set
+from scflp.verify import verify_hull
 
 from conftest import random_choice, random_instance
 
@@ -149,3 +150,23 @@ def test_best_response_refuses_an_unknown_mode_and_an_empty_leader(golden):
         follower_best_response(golden, [1, 1, 0], mode="bogus")
     with pytest.raises(ValueError, match="leader choice must open at least one site"):
         response_costs(golden, [0, 0, 0])
+
+
+def test_choice_vectors_of_the_wrong_length_are_refused():
+    """A leader or follower vector shorter or longer than n is refused by
+    name, never read as a choice over fewer sites or left to an IndexError."""
+    inst = generate_instance(GeneratorParams("biesinger", m=4, n=5, p=2, r=2, seed=1))
+    y = indicator(5, [0, 1])
+    for bad in ([1], [1, 1], [0, 1], [1, 0, 0, 1], [1, 0, 0, 0, 0, 1], np.ones((1, 5))):
+        calls = [
+            lambda: compute_cy(inst, bad),
+            lambda: leader_share(inst, bad, y),
+            lambda: leader_share(inst, y, bad),
+            lambda: response_costs(inst, bad),
+            lambda: follower_best_response(inst, bad),
+            lambda: follower_best_response(inst, bad, mode="enumerate"),
+            lambda: verify_hull(inst, bad, trials=3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"expected a vector of length n = 5"):
+                call()

@@ -14,6 +14,7 @@ from scflp.verify import (
     _assignment_polytope,
     _hull_model,
     _supports,
+    _tight_rows,
     verify_aggregation,
     verify_hull,
     verify_prop61,
@@ -118,10 +119,15 @@ def _directions(rng, size, count):
     return out
 
 
+def _corners(n):
+    return np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+
+
 def test_anchor_support_on_demand_equals_the_explicit_lp():
     """Adding anchor rows to the block model as they are needed gives the
     support of the polytope of all rows, direction after direction on one
-    model."""
+    model, whether the anchor block starts from one row or from the rows
+    tight at the integer points."""
     rng = np.random.default_rng(97)
     cases = [(Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5), HULL_GAP_Y)]
     for _ in range(5):
@@ -130,11 +136,40 @@ def test_anchor_support_on_demand_equals_the_explicit_lp():
     for inst, y in cases:
         rows = _anchor_rows(inst, y, compute_cy(inst, y))
         full = _anchor_polytope(inst, rows)
-        held = [int(np.argmin(rows[:, 0]))]
-        model = _hull_model(inst, y, rows, held)
-        for alpha, beta in _directions(rng, 1 + inst.n, 100):
-            s_anchor, _ = _supports(model, rows, held, alpha, beta)
-            assert abs(s_anchor - _support(full, alpha, beta)) <= 1e-9
+        for held in ([int(np.argmin(rows[:, 0]))], _tight_rows(inst, _corners(inst.n))):
+            model = _hull_model(inst, y, rows, held)
+            for alpha, beta in _directions(rng, 1 + inst.n, 100):
+                s_anchor, _ = _supports(model, rows, held, alpha, beta)
+                assert abs(s_anchor - _support(full, alpha, beta)) <= 1e-9
+
+
+def test_seed_rows_are_tight_at_every_corner(golden):
+    """The seed is, with no duplicate, the sorted set of rows that anchor
+    each customer at its most attractive site of S (the virtual site n when
+    S is empty), one per corner 1_S; each of them equals the share of S at
+    1_S, and the smallest-constant row is among them."""
+    rng = np.random.default_rng(131)
+    cases = [(golden, Y_ALL), (Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5), HULL_GAP_Y)]
+    for _ in range(8):
+        inst = random_instance(rng, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 8)))
+        cases.append((inst, random_choice(rng, inst.n, inst.r)))
+    for inst, y in cases:
+        cy = compute_cy(inst, y)
+        rows = _anchor_rows(inst, y, cy)
+        order = {ell: k for k, ell in enumerate(itertools.product(range(inst.n + 1), repeat=inst.m))}
+        corners = _corners(inst.n)
+        seed = _tight_rows(inst, corners)
+        expected = set()
+        for corner in corners:
+            S = set(np.flatnonzero(corner).tolist())
+            best = tuple(max(S, key=lambda j: (inst.v[i, j], -j)) if S else inst.n for i in range(inst.m))
+            k = order[best]
+            share = float(inst.w @ cy[:, sorted(S)].max(axis=1)) if S else 0.0
+            assert abs(rows[k, 0] + rows[k, 1:] @ corner - share) <= 1e-12 * max(1.0, share)
+            expected.add(k)
+        assert seed == sorted(expected)
+        assert len(set(seed)) == len(seed) <= min(2**inst.n, (inst.n + 1) ** inst.m)
+        assert int(np.argmin(rows[:, 0])) in seed
 
 
 def test_each_block_support_equals_its_standalone_lp():

@@ -15,8 +15,9 @@ holds the repr of max_discrepancy.
 order, every solve line is byte-identical and every hull line's
 max_discrepancy agrees within 1e-9: it can move in the last bits when the
 LP path of verify changes (other rows in the model, other vertices).
-Otherwise it prints the first operation that differs, with both lines, and
-exits 1.
+When all agree it also prints how many hull lines differ and the largest
+difference.  Otherwise it prints the first operation that differs, with
+both lines, and exits 1.
 """
 
 import os
@@ -45,27 +46,34 @@ def fingerprint(rep) -> dict:
     }
 
 
-def _agree(line_a: str, line_b: str) -> bool:
-    if line_a == line_b:
-        return True
+def _hull_difference(line_a: str, line_b: str) -> float | None:
+    """|max_discrepancy difference| of two lines that are the same hull
+    operation and agree in every other field; None for any other pair."""
     a, b = json.loads(line_a), json.loads(line_b)
     hull = "max_discrepancy"
     if hull not in a or a.keys() != b.keys() or any(a[k] != b[k] for k in a if k != hull):
-        return False
-    return abs(float(a[hull]) - float(b[hull])) <= HULL_TOL
+        return None
+    return abs(float(a[hull]) - float(b[hull]))
 
 
 def compare(path_a: str, path_b: str) -> int:
     lines_a = Path(path_a).read_text().splitlines()
     lines_b = Path(path_b).read_text().splitlines()
+    hull_lines, moved = 0, []
     for line_a, line_b in itertools.zip_longest(lines_a, lines_b):
-        if line_a is None or line_b is None or not _agree(line_a, line_b):
+        diff = None if line_a is None or line_b is None else _hull_difference(line_a, line_b)
+        if line_a != line_b and (diff is None or diff > HULL_TOL):
             op = json.loads(line_a or line_b)
             print(f"first differing op: {op['workload']} {op['op']}")
             print(f"{path_a}: {line_a or '(ends before it)'}")
             print(f"{path_b}: {line_b or '(ends before it)'}")
             return 1
+        if diff is not None:
+            hull_lines += 1
+            if line_a != line_b:
+                moved.append(diff)
     print(f"{len(lines_a)} ops agree")
+    print(f"{len(moved)} of {hull_lines} hull lines differ, by at most {max(moved, default=0.0):.2g}")
     return 0
 
 
