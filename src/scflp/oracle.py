@@ -5,8 +5,9 @@ problem.  ``full_lp_value`` evaluates the LP relaxation of a formulation
 with its cut family fully described: explicit rows for SF and EF, and for
 GSF the solver's own root cut loop, whose anchor-cut separation is exact at
 every point, run to convergence.  Neither is built for speed; caps are
-explicit and exceeding one raises instead of truncating.  The explicit
-anchor-cut family of GSF is ``verify.enumerate_gsf_value``.
+explicit and exceeding one raises instead of truncating.  The tests check
+the GSF value against an LP over the explicit anchor-cut family
+(``enumerate_gsf_value`` in ``tests/explicit_lps.py``).
 """
 
 from __future__ import annotations

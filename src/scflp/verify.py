@@ -14,21 +14,16 @@ The two LP descriptions are held as independent blocks of one model per
 call, the assignment block first, and each direction is solved once on
 both: the blocks share no row or column, so a block-diagonal LP's optimum
 is the sum of its blocks' optima (Dantzig and Wolfe 1960), and each
-block's part of the answer gives its own description's support.  The
-anchor-cut polytope's (n+1)^m rows are all built, but its block starts
-from the rows tight at the integer points, at most min(2^n, (n+1)^m) of
-them (``_tight_rows``), and adds the others as they are needed: after each
-solve, the explicit row the anchor part violates most joins the model,
-and the same model is solved again, until the anchor part satisfies every
-row of the list.  The rows are tested against the list itself, not
-through the solver's separation.  ``_anchor_polytope`` and
-``_assignment_polytope`` build each description as a standalone LP, the
-explicit references the tests compare the blocks with.
+block's part of the answer gives its own description's support.  An
+anchor cut is a sum of per-customer terms, so the minimum over all
+(n+1)^m anchor vectors is the sum of the per-customer minima; the anchor
+block holds that sum explicitly, as eta <= sum_i theta_i and theta_i below
+each of customer i's n+1 terms (the multicut form of Birge and Louveaux
+1988), m (n+1) + 1 rows whose projection onto (eta, x) is the anchor-cut
+polytope.
 
 ``verify_prop61`` cross-checks the anchor-cut separation reduction
-against a literal minimization over all anchor vectors,
-``enumerate_gsf_value`` solves the GSF relaxation over the explicit
-anchor-cut family, and
+against a literal minimization over all anchor vectors, and
 ``verify_aggregation`` confirms that one shared allocation block is as
 tight as one block per follower choice and that the prefix-greedy
 allocation is LP-optimal.
@@ -42,14 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnc import _base_model, add_cut_row, add_eta_row, add_linking_rows, build_model
+from .bnc import _base_model, add_cut_row, add_eta_row, add_linking_rows
 from .cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut, tight_ell
 from .instance import Instance
 from .lp import LpModel, lp_solve
 from .market import compute_cy, indicator, open_sites
 from .oracle import full_lp_value
 from .rmedian import CapExceededError
-from .tolerances import at_most
 
 
 @dataclass(frozen=True)
@@ -59,143 +53,102 @@ class HullCheckReport:
     max_discrepancy: float
 
 
+def _customer_terms(inst: Instance, y, cy: np.ndarray) -> np.ndarray:
+    """Every customer's anchor terms as an (m, n+1, 1 + n) array: entry
+    [i, l] is [constant, x-coefficients] of improved_cut on customer i
+    alone with anchor l (l = n the virtual site).  Each anchor cut is the
+    in-order sum over customers of one term per customer."""
+    m, n = inst.m, inst.n
+    terms = np.empty((m, n + 1, 1 + n))
+    for i in range(m):
+        alone = Instance(m=1, n=n, w=inst.w[i : i + 1], v=inst.v[i : i + 1], p=inst.p, r=inst.r)
+        for ell in range(n + 1):
+            cut = improved_cut(alone, y, (ell,), cy[i : i + 1])
+            terms[i, ell, 0] = cut.constant
+            terms[i, ell, 1:] = cut.xcoef
+    return terms
+
+
 def _anchor_rows(inst: Instance, y, cy: np.ndarray) -> np.ndarray:
     """Every anchor cut for y as a ((n+1)^m, 1 + n) array of [constant,
     x-coefficients] rows, anchor vectors in itertools.product order.
 
-    A cut is a sum over customers of per-customer terms, and improved_cut
-    sums them in customer order; so the n+1 one-customer cuts of each
-    customer, added up in that order by broadcasting, give every row bit
-    for bit as improved_cut would, with m (n+1) calls instead of (n+1)^m."""
-    n = inst.n
-    total = (n + 1) ** inst.m
+    improved_cut sums its per-customer terms in customer order, so adding
+    the ``_customer_terms`` up in that order by broadcasting gives every
+    row bit for bit as improved_cut would, with m (n+1) calls instead of
+    (n+1)^m."""
+    total = (inst.n + 1) ** inst.m
     if total > 200_000:
         raise CapExceededError(f"(n+1)^m = {total} anchor cuts is too many")
-    rows = None
-    for i in range(inst.m):
-        alone = Instance(m=1, n=n, w=inst.w[i : i + 1], v=inst.v[i : i + 1], p=inst.p, r=inst.r)
-        terms = np.empty((n + 1, 1 + n))
-        for ell in range(n + 1):
-            cut = improved_cut(alone, y, (ell,), cy[i : i + 1])
-            terms[ell, 0] = cut.constant
-            terms[ell, 1:] = cut.xcoef
-        rows = terms if rows is None else (rows[:, None, :] + terms).reshape(-1, 1 + n)
+    terms = _customer_terms(inst, y, cy)
+    rows = terms[0]
+    for block in terms[1:]:
+        rows = (rows[:, None, :] + block).reshape(-1, 1 + inst.n)
     return rows
 
 
-def _tight_rows(inst: Instance, corners: np.ndarray) -> list[int]:
-    """Sorted distinct ``_anchor_rows`` indices of the rows tight at the
-    given 0/1 corners.  At 1_S every customer anchors at the first site of
-    its ``sigma`` row that lies in S, or at the virtual site n when S is
-    empty; that row equals the share of S at 1_S, as the classic submodular
-    cut of S does.  An anchor vector's index is its place in the product
-    order, customer 0 most significant.  The empty set's row, all anchors
-    at n, is the one row with constant 0, the smallest."""
-    m, n = inst.m, inst.n
-    inside = corners[:, inst.sigma] > 0.5  # [s, i, k]: site sigma[i, k] is open at corner s
-    ell = np.where(inside.any(axis=2), inst.sigma[np.arange(m), inside.argmax(axis=2)], n)
-    return np.unique(ell @ (n + 1) ** np.arange(m - 1, -1, -1)).tolist()
+def _add_theta_rows(model: LpModel, terms: np.ndarray, eta: int, x0: int, theta0: int) -> None:
+    """Append the per-customer anchor system for ``_customer_terms`` terms
+    over the column eta, the n x columns from x0 and the m theta columns
+    from theta0: eta - sum_i theta_i <= 0, then for each customer i and
+    anchor l in order, theta_i - terms[i, l, 1:].x <= terms[i, l, 0]."""
+    m, anchors, width = terms.shape
+    n = width - 1
+    model.add_row({eta: 1.0, **{theta0 + i: -1.0 for i in range(m)}}, "<=", 0.0)
+    value = np.ones((m, anchors, width))
+    np.negative(terms[:, :, 1:], out=value[:, :, :n])
+    cols = np.empty((m, anchors, width), np.int64)
+    cols[:, :, :n] = np.arange(x0, x0 + n)
+    cols[:, :, n] = theta0 + np.arange(m)[:, None]
+    model.add_rows(np.arange(0, value.size + 1, width), cols.ravel(), value.ravel(), "<=", terms[:, :, 0].ravel())
 
 
-def _add_anchor_rows(model: LpModel, rows: np.ndarray, first: int) -> None:
-    """Append ``_anchor_rows`` rows [constant, xcoef] as
-    eta - xcoef.x <= constant, over the columns eta, x that start at
-    ``first``: dense rows [1, -xcoef], whose zeros add_rows drops."""
-    width = rows.shape[1]
-    dense = np.ones_like(rows)
-    np.negative(rows[:, 1:], out=dense[:, 1:])
-    cols = np.tile(np.arange(first, first + width), len(rows))
-    model.add_rows(np.arange(0, dense.size + 1, width), cols, dense.ravel(), "<=", rows[:, 0])
-
-
-def _box(*widths: int) -> LpModel:
-    """Zero-objective model of blocks of the given widths, each a free eta
-    column followed by columns in [0, 1]; no rows."""
-    lower = np.concatenate([np.r_[-np.inf, np.zeros(w - 1)] for w in widths])
-    upper = np.concatenate([np.r_[np.inf, np.ones(w - 1)] for w in widths])
-    return LpModel(np.zeros(lower.size), lower, upper)
-
-
-def _add_assignment_rows(model: LpModel, inst: Instance, y) -> None:
-    """The linking rows and the single cut for y, over the columns eta, x, z
-    at the start of the model."""
-    add_linking_rows(model, inst.m, inst.n, 1 + inst.n)
-    add_cut_row(model, inst, ef_cut(inst, y))
-
-
-def _anchor_polytope(inst: Instance, rows: np.ndarray) -> LpModel:
-    """eta and x columns, the given ``_anchor_rows`` rows, unit box, no
-    cardinality row: the anchor description as an explicit LP."""
-    model = _box(1 + inst.n)
-    _add_anchor_rows(model, rows, 0)
-    return model
-
-
-def _assignment_polytope(inst: Instance, y) -> LpModel:
-    """eta, x, z columns with the linking rows and the single cut for y:
-    the assignment description as a standalone LP."""
-    model = _box(1 + inst.n + inst.m * inst.n)
-    _add_assignment_rows(model, inst, y)
-    return model
-
-
-def _hull_model(inst: Instance, y, rows: np.ndarray, held: list[int]) -> LpModel:
+def _hull_model(inst: Instance, y, terms: np.ndarray) -> LpModel:
     """Both descriptions as independent blocks of one LP: the assignment
-    block on columns [eta, x, z], then the anchor block on [eta, x] holding
-    the ``rows`` listed in ``held``.  No row or column is shared."""
+    block (linking rows and the single cut for y) on columns [eta, x, z],
+    then the anchor block on [eta, x, theta], theta one free column per
+    customer.  x and z lie in the unit box; no row or column is shared."""
     m, n = inst.m, inst.n
-    model = _box(1 + n + m * n, 1 + n)
-    _add_assignment_rows(model, inst, y)
-    _add_anchor_rows(model, rows[held], 1 + n + m * n)
+    a0 = 1 + n + m * n  # the anchor block's eta
+    ncols = a0 + 1 + n + m
+    lower, upper = np.zeros(ncols), np.ones(ncols)
+    free = np.r_[0, a0, a0 + 1 + n : ncols]  # both etas and theta
+    lower[free], upper[free] = -np.inf, np.inf
+    model = LpModel(np.zeros(ncols), lower, upper)
+    add_linking_rows(model, m, n, 1 + n)
+    add_cut_row(model, inst, ef_cut(inst, y))
+    _add_theta_rows(model, terms, a0, a0 + 1, a0 + 1 + n)
     return model
 
 
-def _supports(model: LpModel, rows: np.ndarray, held: list[int], alpha: float, beta: np.ndarray) -> tuple[float, float]:
+def _supports(model: LpModel, first: int, alpha: float, beta: np.ndarray) -> tuple[float, float]:
     """(anchor, assignment) supports in direction (alpha, beta) from a
-    ``_hull_model`` whose anchor block holds the ``rows`` listed in ``held``.
-
-    Both blocks get the direction and one LP is solved: a block-diagonal
-    LP's optimum is the sum of its blocks' optima, so each block's part of
-    the answer is optimal for that block alone.  Then the row outside the
-    model that the anchor part violates most (ties to the lowest index;
-    violated means eta above the row's right-hand side by more than
-    ``at_most`` allows) joins the anchor block, and the model is solved
-    again, until no row is violated.  The last anchor part is optimal over
-    a subset of the rows and satisfies all of them, so it is the optimum of
-    the anchor polytope of all rows.  Each round adds a row not yet in the
-    model, so the loop ends.  The model and ``held`` keep the added rows
-    for the next direction."""
-    a0 = model.ncols - rows.shape[1]  # first anchor column
-    obj = np.zeros(model.ncols)
-    obj[0] = obj[a0] = alpha
-    obj[1 : 1 + beta.size] = obj[a0 + 1 :] = beta
-    model.objective = obj
-    while True:
-        res = lp_solve(model)
-        if res.status != "optimal":
-            raise RuntimeError(f"support LP failed: {res.status}")
-        eta, x = res.x[a0], res.x[a0 + 1 :]
-        rhs = rows[:, 0] + rows[:, 1:] @ x
-        excess = np.where(at_most(eta, rhs), -np.inf, eta - rhs)
-        excess[held] = -np.inf
-        k = int(np.argmax(excess))
-        if excess[k] == -np.inf:
-            return float(obj[a0:] @ res.x[a0:]), float(obj[:a0] @ res.x[:a0])
-        held.append(k)
-        _add_anchor_rows(model, rows[k : k + 1], a0)
+    ``_hull_model`` whose anchor block starts at column ``first``.  Both
+    blocks get the direction in the model's objective (z and theta keep
+    weight 0) and one LP is solved: a block-diagonal LP's
+    optimum is the sum of its blocks' optima, so each block's part of the
+    answer is optimal for that block alone."""
+    obj = model.objective
+    obj[0] = obj[first] = alpha
+    obj[1 : 1 + beta.size] = obj[first + 1 : first + 1 + beta.size] = beta
+    res = lp_solve(model)
+    if res.status != "optimal":
+        raise RuntimeError(f"support LP failed: {res.status}")
+    return float(obj[first:] @ res.x[first:]), float(obj[:first] @ res.x[:first])
 
 
 def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullCheckReport:
     """Support-function agreement over random directions (objective weight
     on eta kept above 0.1 so every LP stays bounded and well conditioned)."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if inst.n > 10:
         raise CapExceededError("hull check enumerates 2^n integer points; n must stay small")
     rng = np.random.default_rng(seed)
     cy = compute_cy(inst, y)
-    rows = _anchor_rows(inst, y, cy)
+    model = _hull_model(inst, y, _customer_terms(inst, y, cy))
+    first = 1 + inst.n + inst.m * inst.n
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n)))  # (2^n, n)
-    held = _tight_rows(inst, corners)  # the rows tight at the corners; the rest join on demand
-    model = _hull_model(inst, y, rows, held)
     values = (corners[:, None, :] * cy).max(axis=2) @ inst.w  # share of each corner's open set
     worst = 0.0
     for _ in range(trials):
@@ -205,7 +158,7 @@ def verify_hull(inst: Instance, y, trials: int = 200, seed: int = 0) -> HullChec
             d = rng.normal(size=1 + inst.n)
             d /= np.linalg.norm(d)
         alpha, beta = float(d[0]), d[1:]
-        s_anchor, s_assign = _supports(model, rows, held, alpha, beta)
+        s_anchor, s_assign = _supports(model, first, alpha, beta)
         s_points = float((alpha * values + corners @ beta).max())
         worst = max(
             worst,
@@ -226,21 +179,6 @@ def verify_prop61(inst: Instance, xstar, y) -> float:
     ys = open_sites(y)
     reduced = float(inst.w @ rm.cost[:, ys].min(axis=1))
     return abs(best - reduced)
-
-
-def enumerate_gsf_value(inst: Instance) -> float:
-    """GSF relaxation value over the explicit anchor-cut family: the base
-    GSF model plus all (n+1)^m anchor cuts of every follower choice, in
-    lexicographic order.  Cross-checks ``oracle.full_lp_value``'s row
-    generation at desk scale."""
-    model = build_model(inst, "GSF")
-    for combo in itertools.combinations(range(inst.n), inst.r):
-        y = indicator(inst.n, combo)
-        _add_anchor_rows(model, _anchor_rows(inst, y, compute_cy(inst, y)), 0)
-    res = lp_solve(model)
-    if res.status != "optimal":
-        raise RuntimeError(f"GSF explicit-family LP failed: {res.status}")
-    return res.objective
 
 
 @dataclass(frozen=True)

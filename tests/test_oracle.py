@@ -3,9 +3,9 @@ import pytest
 
 from scflp import Instance, brute_force_solve, full_lp_value
 from scflp.rmedian import CapExceededError
-from scflp.verify import enumerate_gsf_value
 
 from conftest import random_instance
+from explicit_lps import enumerate_gsf_value
 
 
 def test_brute_force_golden(golden):

@@ -9,18 +9,17 @@ from scflp.lp import lp_solve
 from scflp.market import open_sites
 from scflp.rmedian import CapExceededError
 from scflp.verify import (
-    _anchor_polytope,
     _anchor_rows,
-    _assignment_polytope,
+    _customer_terms,
     _hull_model,
     _supports,
-    _tight_rows,
     verify_aggregation,
     verify_hull,
     verify_prop61,
 )
 
 from conftest import random_choice, random_instance
+from explicit_lps import anchor_polytope, assignment_polytope
 from lp_rows import lp_rows
 
 Y_ALL = np.array([1, 1, 1], dtype=np.int8)
@@ -39,14 +38,14 @@ def _support(model, alpha, beta):
 
 def test_support_in_pure_eta_direction_is_full_market(golden):
     # without the cardinality row the best corner opens everything: 3/2
-    anchor = _anchor_polytope(golden, _anchor_rows(golden, Y_ALL, compute_cy(golden, Y_ALL)))
-    assign = _assignment_polytope(golden, Y_ALL)
+    anchor = anchor_polytope(golden, _anchor_rows(golden, Y_ALL, compute_cy(golden, Y_ALL)))
+    assign = assignment_polytope(golden, Y_ALL)
     assert _support(anchor, 1.0, np.zeros(3)) == pytest.approx(3 / 2, abs=1e-9)
     assert _support(assign, 1.0, np.zeros(3)) == pytest.approx(3 / 2, abs=1e-9)
 
 
 def test_support_with_x_forced_to_zero(golden):
-    anchor = _anchor_polytope(golden, _anchor_rows(golden, Y_ALL, compute_cy(golden, Y_ALL)))
+    anchor = anchor_polytope(golden, _anchor_rows(golden, Y_ALL, compute_cy(golden, Y_ALL)))
     anchor.upper[1:] = 0.0
     assert _support(anchor, 1.0, np.zeros(3)) == pytest.approx(0.0, abs=1e-9)
 
@@ -93,8 +92,8 @@ def test_hull_checker_detects_envelope_aggregation_gap():
 
 def test_lp_descriptions_agree_even_where_hull_gap_exists():
     inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
-    anchor = _anchor_polytope(inst, _anchor_rows(inst, HULL_GAP_Y, compute_cy(inst, HULL_GAP_Y)))
-    assign = _assignment_polytope(inst, HULL_GAP_Y)
+    anchor = anchor_polytope(inst, _anchor_rows(inst, HULL_GAP_Y, compute_cy(inst, HULL_GAP_Y)))
+    assign = assignment_polytope(inst, HULL_GAP_Y)
     rng = np.random.default_rng(0)
     for _ in range(40):
         d = rng.normal(size=7)
@@ -119,98 +118,69 @@ def _directions(rng, size, count):
     return out
 
 
-def _corners(n):
-    return np.array(list(itertools.product((0.0, 1.0), repeat=n)))
-
-
-def test_anchor_support_on_demand_equals_the_explicit_lp():
-    """Adding anchor rows to the block model as they are needed gives the
-    support of the polytope of all rows, direction after direction on one
-    model, whether the anchor block starts from one row or from the rows
-    tight at the integer points."""
-    rng = np.random.default_rng(97)
-    cases = [(Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5), HULL_GAP_Y)]
-    for _ in range(5):
-        inst = random_instance(rng, m=int(rng.integers(2, 5)), n=int(rng.integers(3, 7)))
-        cases.append((inst, random_choice(rng, inst.n, inst.r)))
-    for inst, y in cases:
-        rows = _anchor_rows(inst, y, compute_cy(inst, y))
-        full = _anchor_polytope(inst, rows)
-        for held in ([int(np.argmin(rows[:, 0]))], _tight_rows(inst, _corners(inst.n))):
-            model = _hull_model(inst, y, rows, held)
-            for alpha, beta in _directions(rng, 1 + inst.n, 100):
-                s_anchor, _ = _supports(model, rows, held, alpha, beta)
-                assert abs(s_anchor - _support(full, alpha, beta)) <= 1e-9
-
-
-def test_seed_rows_are_tight_at_every_corner(golden):
-    """The seed is, with no duplicate, the sorted set of rows that anchor
-    each customer at its most attractive site of S (the virtual site n when
-    S is empty), one per corner 1_S; each of them equals the share of S at
-    1_S, and the smallest-constant row is among them."""
-    rng = np.random.default_rng(131)
+def test_each_block_support_equals_its_standalone_lp(golden):
+    """On the golden, the pinned and random desk-size instances, direction
+    after direction on one block model, the per-customer anchor block gives
+    the support of the explicit LP over all (n+1)^m anchor rows, and the
+    assignment block the support of the assignment polytope."""
+    rng = np.random.default_rng(113)
     cases = [(golden, Y_ALL), (Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5), HULL_GAP_Y)]
     for _ in range(8):
-        inst = random_instance(rng, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 8)))
+        inst = random_instance(rng, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 9)))
         cases.append((inst, random_choice(rng, inst.n, inst.r)))
     for inst, y in cases:
         cy = compute_cy(inst, y)
-        rows = _anchor_rows(inst, y, cy)
-        order = {ell: k for k, ell in enumerate(itertools.product(range(inst.n + 1), repeat=inst.m))}
-        corners = _corners(inst.n)
-        seed = _tight_rows(inst, corners)
-        expected = set()
-        for corner in corners:
-            S = set(np.flatnonzero(corner).tolist())
-            best = tuple(max(S, key=lambda j: (inst.v[i, j], -j)) if S else inst.n for i in range(inst.m))
-            k = order[best]
-            share = float(inst.w @ cy[:, sorted(S)].max(axis=1)) if S else 0.0
-            assert abs(rows[k, 0] + rows[k, 1:] @ corner - share) <= 1e-12 * max(1.0, share)
-            expected.add(k)
-        assert seed == sorted(expected)
-        assert len(set(seed)) == len(seed) <= min(2**inst.n, (inst.n + 1) ** inst.m)
-        assert int(np.argmin(rows[:, 0])) in seed
-
-
-def test_each_block_support_equals_its_standalone_lp():
-    """On random desk-size instances and directions, each block of the
-    block model gives the support of its description's standalone LP:
-    the anchor polytope of all rows, and the assignment polytope."""
-    rng = np.random.default_rng(113)
-    for _ in range(8):
-        inst = random_instance(rng, m=int(rng.integers(2, 5)), n=int(rng.integers(3, 9)))
-        y = random_choice(rng, inst.n, inst.r)
-        rows = _anchor_rows(inst, y, compute_cy(inst, y))
-        anchor, assign = _anchor_polytope(inst, rows), _assignment_polytope(inst, y)
-        held = [int(np.argmin(rows[:, 0]))]
-        model = _hull_model(inst, y, rows, held)
-        for alpha, beta in _directions(rng, 1 + inst.n, 25):
-            s_anchor, s_assign = _supports(model, rows, held, alpha, beta)
+        model = _hull_model(inst, y, _customer_terms(inst, y, cy))
+        anchor, assign = anchor_polytope(inst, _anchor_rows(inst, y, cy)), assignment_polytope(inst, y)
+        for alpha, beta in _directions(rng, 1 + inst.n, 60):
+            s_anchor, s_assign = _supports(model, 1 + inst.n + inst.m * inst.n, alpha, beta)
             assert abs(s_anchor - _support(anchor, alpha, beta)) <= 1e-9
             assert abs(s_assign - _support(assign, alpha, beta)) <= 1e-9
 
 
-def test_anchor_support_adds_few_rows_each_once():
-    """After 200 directions the pinned instance's block model holds, after
-    its assignment rows, fewer than 100 of its 2401 anchor rows, none of
-    them twice, in the order they joined, on the anchor block's columns."""
-    inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
-    rows = _anchor_rows(inst, HULL_GAP_Y, compute_cy(inst, HULL_GAP_Y))
-    held = [int(np.argmin(rows[:, 0]))]
-    model = _hull_model(inst, HULL_GAP_Y, rows, held)
-    for alpha, beta in _directions(np.random.default_rng(60_011), 7, 200):
-        _supports(model, rows, held, alpha, beta)
-    assign = lp_rows(_assignment_polytope(inst, HULL_GAP_Y))
-    a0 = 1 + 6 + 4 * 6
-    assert len(rows) == 2401
-    assert model.nrows - len(assign) == len(held) < 100
-    assert len(set(held)) == len(held)
-    expected = [
-        ("<=", rows[k, 0], [(a0, 1.0)] + [(a0 + 1 + j, -c) for j, c in enumerate(rows[k, 1:]) if c != 0.0]) for k in held
-    ]
-    got = [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(model)]
-    assert got[: len(assign)] == [(r.sense, r.rhs, list(r.coef.items())) for r in assign]
-    assert got[len(assign) :] == expected
+def test_hull_model_holds_the_per_customer_anchor_system():
+    """After the assignment block's rows, the block model holds
+    eta - sum_i theta_i <= 0 and then, customer by customer and anchor by
+    anchor, theta_i - xcoef.x <= constant with the one-customer
+    improved_cut's terms: m (n+1) + 1 anchor rows on the anchor block's
+    [eta, x, theta] columns, theta free."""
+    rng = np.random.default_rng(89)
+    cases = [(Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5), HULL_GAP_Y)]
+    for _ in range(4):
+        inst = random_instance(rng, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 7)))
+        cases.append((inst, random_choice(rng, inst.n, inst.r)))
+    for inst, y in cases:
+        m, n = inst.m, inst.n
+        cy = compute_cy(inst, y)
+        model = _hull_model(inst, y, _customer_terms(inst, y, cy))
+        a0 = 1 + n + m * n
+        theta = a0 + 1 + n
+        assert model.ncols == theta + m
+        assert np.all(model.lower[[0, a0]] == -np.inf) and np.all(model.upper[[0, a0]] == np.inf)
+        assert np.all(model.lower[theta:] == -np.inf) and np.all(model.upper[theta:] == np.inf)
+        free = np.r_[0, a0, theta : theta + m]
+        assert np.all(np.delete(model.lower, free) == 0.0) and np.all(np.delete(model.upper, free) == 1.0)
+
+        expected = [("<=", 0.0, [(a0, 1.0)] + [(theta + i, -1.0) for i in range(m)])]
+        for i in range(m):
+            alone = Instance(m=1, n=n, w=inst.w[i : i + 1], v=inst.v[i : i + 1], p=inst.p, r=inst.r)
+            for ell in range(n + 1):
+                cut = improved_cut(alone, y, np.array([ell]), cy[i : i + 1])
+                coef = [(a0 + 1 + j, -c) for j, c in enumerate(cut.xcoef) if c != 0.0] + [(theta + i, 1.0)]
+                expected.append(("<=", cut.constant, coef))
+        assign = lp_rows(assignment_polytope(inst, y))
+        got = [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(model)]
+        assert got[: len(assign)] == [(r.sense, r.rhs, list(r.coef.items())) for r in assign]
+        assert got[len(assign) :] == expected
+        assert len(expected) == m * (n + 1) + 1
+
+
+def test_hull_check_refuses_fewer_than_one_trial(golden):
+    """A check that probes no direction proves nothing: trials below 1 is
+    refused, not reported as a discrepancy of 0."""
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify_hull(golden, Y_ALL, trials=trials)
 
 
 def test_prop61_golden_traces(golden):
@@ -279,7 +249,7 @@ def test_verify_polytopes_match_per_row_reference():
         inst = random_instance(rng, m=int(rng.integers(2, 4)), n=int(rng.integers(2, 5)))
         y = random_choice(rng, inst.n, inst.r)
         cy = compute_cy(inst, y)
-        anchor = _anchor_polytope(inst, _anchor_rows(inst, y, cy))
+        anchor = anchor_polytope(inst, _anchor_rows(inst, y, cy))
         expected = []
         for ell in itertools.product(range(inst.n + 1), repeat=inst.m):
             cut = improved_cut(inst, y, np.array(ell), cy)
@@ -289,7 +259,7 @@ def test_verify_polytopes_match_per_row_reference():
         assert [(r.sense, r.rhs, list(r.coef.items())) for r in lp_rows(anchor)] == expected
 
         m, n = inst.m, inst.n
-        assign = _assignment_polytope(inst, y)
+        assign = assignment_polytope(inst, y)
         expected = [("<=", 0.0, [(1 + n + i * n + j, 1.0), (1 + j, -1.0)]) for i in range(m) for j in range(n)]
         expected += [("<=", 1.0, [(1 + n + i * n + j, 1.0) for j in range(n)]) for i in range(m)]
         zcoef = ef_cut(inst, y).zcoef
@@ -303,7 +273,7 @@ def test_anchor_polytope_matches_per_row_cuts_on_hull_gap_instance():
     the per-row improved_cut rows, in order, bit for bit."""
     inst = Instance(m=4, n=6, w=HULL_GAP_W, v=HULL_GAP_V, p=3, r=5)
     cy = compute_cy(inst, HULL_GAP_Y)
-    rows = lp_rows(_anchor_polytope(inst, _anchor_rows(inst, HULL_GAP_Y, cy)))
+    rows = lp_rows(anchor_polytope(inst, _anchor_rows(inst, HULL_GAP_Y, cy)))
     anchors = list(itertools.product(range(7), repeat=4))
     assert len(rows) == len(anchors) == 2401
     for row, ell in zip(rows, anchors):
@@ -336,6 +306,11 @@ def test_anchor_checks_refuse_more_than_200k_anchor_vectors():
     with pytest.raises(CapExceededError):
         _anchor_rows(inst, y, compute_cy(inst, y))
     with pytest.raises(CapExceededError):
-        verify_hull(inst, y)
-    with pytest.raises(CapExceededError):
         verify_prop61(inst, np.full(inst.n, 0.5), y)
+    # the hull check builds m (n+1) + 1 anchor rows, not (n+1)^m, so it runs
+    rep = verify_hull(inst, y, trials=20, seed=5)
+    assert rep.trials == 20
+    model = _hull_model(inst, y, _customer_terms(inst, y, compute_cy(inst, y)))
+    for alpha, beta in _directions(np.random.default_rng(5), 1 + inst.n, 20):
+        s_anchor, s_assign = _supports(model, 1 + inst.n + inst.m * inst.n, alpha, beta)
+        assert abs(s_anchor - s_assign) <= 1e-7

@@ -17,7 +17,8 @@ max_discrepancy agrees within 1e-9: it can move in the last bits when the
 LP path of verify changes (other rows in the model, other vertices).
 When all agree it also prints how many hull lines differ and the largest
 difference.  Otherwise it prints the first operation that differs, with
-both lines, and exits 1.
+both lines, and exits 1; a line that is not a fingerprint (say, cut off by
+a killed run) is printed with its file and line number, and exits 1 too.
 """
 
 import os
@@ -46,10 +47,28 @@ def fingerprint(rep) -> dict:
     }
 
 
-def _hull_difference(line_a: str, line_b: str) -> float | None:
-    """|max_discrepancy difference| of two lines that are the same hull
+def _read(path: str) -> tuple[list[str], list[dict]] | None:
+    """The lines of a fingerprint file and the operation each holds.  When
+    a line is not a JSON object with a workload and an op (a run killed
+    mid-line leaves one), prints the file, the line number and the line,
+    and returns None."""
+    lines = Path(path).read_text().splitlines()
+    ops = []
+    for number, line in enumerate(lines, 1):
+        try:
+            op = json.loads(line)
+        except json.JSONDecodeError:
+            op = None
+        if not isinstance(op, dict) or not {"workload", "op"} <= op.keys():
+            print(f"{path}:{number}: not a fingerprint line: {line!r}")
+            return None
+        ops.append(op)
+    return lines, ops
+
+
+def _hull_difference(a: dict, b: dict) -> float | None:
+    """|max_discrepancy difference| of two operations that are the same hull
     operation and agree in every other field; None for any other pair."""
-    a, b = json.loads(line_a), json.loads(line_b)
     hull = "max_discrepancy"
     if hull not in a or a.keys() != b.keys() or any(a[k] != b[k] for k in a if k != hull):
         return None
@@ -57,13 +76,15 @@ def _hull_difference(line_a: str, line_b: str) -> float | None:
 
 
 def compare(path_a: str, path_b: str) -> int:
-    lines_a = Path(path_a).read_text().splitlines()
-    lines_b = Path(path_b).read_text().splitlines()
+    read_a, read_b = _read(path_a), _read(path_b)
+    if read_a is None or read_b is None:
+        return 1
+    (lines_a, ops_a), (lines_b, ops_b) = read_a, read_b
     hull_lines, moved = 0, []
-    for line_a, line_b in itertools.zip_longest(lines_a, lines_b):
-        diff = None if line_a is None or line_b is None else _hull_difference(line_a, line_b)
+    for line_a, line_b, a, b in itertools.zip_longest(lines_a, lines_b, ops_a, ops_b):
+        diff = None if a is None or b is None else _hull_difference(a, b)
         if line_a != line_b and (diff is None or diff > HULL_TOL):
-            op = json.loads(line_a or line_b)
+            op = a or b
             print(f"first differing op: {op['workload']} {op['op']}")
             print(f"{path_a}: {line_a or '(ends before it)'}")
             print(f"{path_b}: {line_b or '(ends before it)'}")
