@@ -16,7 +16,11 @@ empty exact return certifies that no inequality of the family is violated
 by more than that.  At an integral point (``RelaxPoint.integral``) the exact
 pass keeps its cut unless eta is at most its value there up to the
 certification slack (``tolerances.at_most``): an empty return certifies the
-point at its exact best-response value.
+point at its exact best-response value.  ``separate_gsf`` can also take its
+anchor vector and r-median costs at another leader vector ``at`` (the
+search's in-out center, see ``bnc``) while keeping only cuts violated at
+the LP point; such a pass certifies nothing, and the search runs it only at
+fractional points, falling back to the plain pass when it finds nothing new.
 """
 
 from __future__ import annotations
@@ -137,18 +141,25 @@ def separate_sf(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> li
     return _separate(pt, pool, eps, lambda y, cy: submodular_cut(inst, y, deepest_prefix(inst, cy, order, xs), cy), costs)
 
 
-def separate_gsf(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:
+def separate_gsf(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL, at=None) -> list[Cut]:
     """Anchor-cut separation, exact at arbitrary points.
 
     The deepest anchor vector at x is follower independent, so every cut,
     pool member's or argmin's, is the anchor cut at ``tight_ell``; the exact
     pass solves the r-median on the anchor-reduction costs.
+
+    With ``at`` (a leader vector, the search's stabilization center) the
+    anchor vector and the r-median costs are taken at ``at`` instead of at
+    pt.x, and a cut is still kept only if pt violates it by more than eps.
+    Such a pass returns valid cuts but certifies nothing when it returns
+    none; it is meant for fractional points only.
     """
     if pt.z is not None:
         raise ValueError("anchor separation takes points without allocations")
     inst = pool.inst
-    ell = tight_ell(inst, pt.x)
-    return _separate(pt, pool, eps, lambda y, cy: improved_cut(inst, y, ell, cy), lambda: gsf_separation_costs(inst, pt.x))
+    x = pt.x if at is None else at
+    ell = tight_ell(inst, x)
+    return _separate(pt, pool, eps, lambda y, cy: improved_cut(inst, y, ell, cy), lambda: gsf_separation_costs(inst, x))
 
 
 def separate_ef(pt: RelaxPoint, pool: FollowerPool, eps: float = EPS_VIOL) -> list[Cut]:

@@ -2,20 +2,21 @@ import io
 import itertools
 import json
 import math
+import dataclasses
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from scflp import BncConfig, GeneratorParams, Instance, bnc, brute_force_solve, follower_best_response, generate_instance, root_relaxation, solve
+from scflp import BncConfig, GeneratorParams, Instance, bnc, brute_force_solve, follower_best_response, full_lp_value, generate_instance, root_relaxation, solve
 from scflp.bnc import _Search, add_cut_row, build_model
-from scflp.cuts import ef_cut, greedy_assignment
+from scflp.cuts import ef_cut, greedy_assignment, gsf_separation_costs
 from scflp.lp import LpModel, LpResult, lp_solve
 from scflp.market import indicator, leader_share
 from scflp.separation import RelaxPoint
 
-from conftest import random_choice, random_instance
+from conftest import golden_instance, random_choice, random_instance
 from lp_rows import lp_rows
 
 TIE_CLASS = {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
@@ -463,3 +464,92 @@ def test_a_spurious_infeasible_lp_verdict_raises(monkeypatch, bad_call):
     monkeypatch.setattr(bnc, "lp_solve", flaky)
     with pytest.raises(RuntimeError, match="LP failure: infeasible"):
         solve(inst, BncConfig(formulation="SF"))
+
+
+def test_stabilized_gsf_root_is_the_relaxation_value():
+    """The in-out loop ends where the plain one did: at the GSF relaxation
+    value, which EF shares, on the golden, 30 random desk instances and
+    ten m=n=12 ones (where a loop that stopped when the center pass found
+    nothing would end above the relaxation value)."""
+    rng = np.random.default_rng(71)
+    generated = [generate_instance(GeneratorParams(style, m=12, n=12, p=3, r=2, seed=seed)) for style in ("biesinger", "qi") for seed in range(5)]
+    for inst in [golden_instance()] + [random_instance(rng) for _ in range(30)] + generated:
+        gsf, _, status = root_relaxation(inst, BncConfig(formulation="GSF"), true_opt=1.0)
+        ef, _, _ = root_relaxation(inst, BncConfig(formulation="EF"), true_opt=1.0)
+        assert status == "optimal"
+        assert gsf == pytest.approx(full_lp_value(inst, "GSF"), rel=1e-9)
+        assert gsf == pytest.approx(full_lp_value(inst, "EF"), rel=1e-9)  # the explicit EF LP, no cut loop
+        assert gsf == pytest.approx(ef, rel=1e-9)
+
+
+def test_the_plain_pass_backs_up_a_stabilized_pass_that_finds_nothing(monkeypatch):
+    """With every stabilized pass's cuts dropped (as if none were violated
+    at the LP point), each fractional round falls back to the plain pass
+    at the LP point, and the loop ends at the same bound and status."""
+    inst = generate_instance(GeneratorParams("biesinger", m=12, n=12, p=3, r=2, seed=7))
+    cfg = BncConfig(formulation="GSF")
+    root, _, root_status = root_relaxation(inst, cfg, true_opt=1.0)
+    want = solve(inst, cfg)
+    original, calls = bnc.separate_gsf, {"at": 0, "plain": 0}
+
+    def nothing_at_the_center(pt, pool, eps, at=None):
+        calls["plain" if at is None else "at"] += 1
+        cuts = original(pt, pool, eps, at=at)  # the pass still runs: its pool and last_solve effects stay
+        return cuts if at is None else []
+
+    monkeypatch.setattr(bnc, "separate_gsf", nothing_at_the_center)
+    bound, _, status = root_relaxation(inst, cfg, true_opt=1.0)
+    assert calls["at"] > 0 and calls["plain"] >= calls["at"]
+    assert status == root_status == "optimal"
+    assert bound == pytest.approx(root, rel=1e-9)
+    got = solve(inst, cfg)
+    assert (got.status, got.objective, got.best_x.tolist()) == (want.status, want.objective, want.best_x.tolist())
+
+
+@pytest.mark.parametrize("form", ["SF", "GSF", "EF"])
+def test_two_identical_solves_give_identical_reports(form):
+    inst = generate_instance(GeneratorParams("biesinger", m=20, n=20, p=3, r=3, seed=5))
+    a, b = (solve(inst, BncConfig(formulation=form)) for _ in range(2))
+    for field in dataclasses.fields(a):
+        if field.name not in ("sep_time_s", "total_time_s"):
+            assert repr(getattr(a, field.name)) == repr(getattr(b, field.name)), field.name
+
+
+def test_a_stabilized_pass_makes_the_best_response_miss_not_misfire(monkeypatch):
+    """A stabilized pass records its r-median at the center's costs on the
+    pool; the incumbent's best response must then solve afresh."""
+    rng = np.random.default_rng(73)
+    calls = []
+    original = bnc.follower_best_response
+    monkeypatch.setattr(bnc, "follower_best_response", lambda *a, **k: calls.append(1) or original(*a, **k))
+    for _ in range(20):
+        inst = random_instance(rng, m=int(rng.integers(2, 7)), n=int(rng.integers(3, 8)), p=2)
+        search = _Search(inst, BncConfig(formulation="GSF"))
+        x = np.full(inst.n, 2.0 / inst.n)
+        x[0] += 0.5 / inst.n
+        x[1] -= 0.5 / inst.n  # fractional, and off the starting center
+        assert search.separate(RelaxPoint(eta=inst.total_demand, x=x))
+        assert np.array_equal(search.pool.last_solve[0].cost, gsf_separation_costs(inst, search.center).cost)
+        xint = random_choice(rng, inst.n, inst.p)
+        calls.clear()
+        _, val = search.best_response(xint)
+        assert calls == [1]
+        assert val == pytest.approx(follower_best_response(inst, xint, mode="enumerate")[1], rel=1e-12, abs=1e-12)
+
+
+def test_every_certified_gsf_incumbent_is_its_exact_best_response(monkeypatch):
+    rng = np.random.default_rng(74)
+    seen = []
+    original = _Search.best_response
+
+    def recorded(self, xint):
+        y, val = original(self, xint)
+        seen.append((self.inst, xint.copy(), val))
+        return y, val
+
+    monkeypatch.setattr(_Search, "best_response", recorded)
+    for _ in range(30):
+        solve(random_instance(rng), BncConfig(formulation="GSF"))
+    assert len(seen) >= 30
+    for inst, xint, val in seen:
+        assert val == pytest.approx(follower_best_response(inst, xint, mode="enumerate")[1], rel=1e-12, abs=1e-12)

@@ -31,10 +31,10 @@ def _write(path: Path, ops) -> str:
     return str(path)
 
 
-def _compare(tmp_path, ops_a, ops_b) -> subprocess.CompletedProcess:
+def _compare(tmp_path, ops_a, ops_b, *flags) -> subprocess.CompletedProcess:
     a = _write(tmp_path / "a.jsonl", ops_a)
     b = _write(tmp_path / "b.jsonl", ops_b)
-    return subprocess.run([sys.executable, str(TOOL), "--compare", a, b], capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, str(TOOL), "--compare", *flags, a, b], capture_output=True, text=True, timeout=60)
 
 
 def test_equal_files_agree(tmp_path):
@@ -77,3 +77,24 @@ def test_a_shorter_file_fails(tmp_path):
     out = _compare(tmp_path, [SOLVE, _hull(0.03)], [SOLVE])
     assert out.returncode == 1
     assert "(ends before it)" in out.stdout
+
+
+def test_results_mode_lets_the_search_move_but_not_the_result(tmp_path):
+    moved = {**SOLVE, "nodes": 5, "cuts": 9, "root_bound": repr(1.75 * (1 + 4e-10))}
+    same_search = {**SOLVE, "op": "k1/SF"}
+    ops_a = [SOLVE, same_search, _hull(0.03)]
+    out = _compare(tmp_path, ops_a, [moved, same_search, _hull(0.03)], "--results")
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "3 ops agree" in out.stdout
+    assert "1 solve lines differ in root_bound, 1 solve lines differ in nodes, 1 solve lines differ in cuts" in out.stdout
+    assert _compare(tmp_path, ops_a, [moved, same_search, _hull(0.03)]).returncode == 1  # the default mode stays byte for byte
+    for key, value in (("objective", "1.5000000000000002"), ("upper_bound", "1.6"), ("gap_pct", "0.1"), ("status", "limit"), ("best_x", "1010"), ("root_bound", repr(1.75 * (1 + 2e-9)))):
+        out = _compare(tmp_path, ops_a, [{**SOLVE, key: value}, same_search, _hull(0.03)], "--results")
+        assert out.returncode == 1, key
+        assert "first differing op: desk k0/SF" in out.stdout
+
+
+def test_results_mode_keeps_the_hull_tolerance_and_the_usage(tmp_path):
+    assert _compare(tmp_path, [SOLVE, _hull(0.03)], [SOLVE, _hull(0.03 + 5e-10)], "--results").returncode == 0
+    assert _compare(tmp_path, [SOLVE, _hull(0.03)], [SOLVE, _hull(0.03 + 2e-9)], "--results").returncode == 1
+    assert _compare(tmp_path, [SOLVE], [SOLVE], "--results", "--results").returncode == 2

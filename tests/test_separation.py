@@ -5,8 +5,10 @@ import pytest
 
 from scflp import BncConfig, GeneratorParams, Instance, compute_cy, follower_best_response, generate_instance, leader_share, solve
 from scflp import separation
-from scflp.cuts import ef_cut, greedy_assignment, improved_cut, submodular_cut, tight_ell
+from scflp.cuts import ef_cut, greedy_assignment, gsf_separation_costs, improved_cut, submodular_cut, tight_ell
 from scflp.market import indicator
+from scflp.rmedian import rmedian_solve
+from scflp.tolerances import EPS_VIOL, at_most
 from scflp.separation import FollowerPool, RelaxPoint, is_integral, separate_ef, separate_gsf, separate_sf
 
 from conftest import random_choice, random_instance
@@ -394,3 +396,67 @@ def test_separators_refuse_points_of_the_wrong_kind(golden):
         separate_gsf(with_z, pool)
     with pytest.raises(ValueError, match="assignment separation needs allocations"):
         separate_ef(RelaxPoint(eta=2.0, x=x), pool)
+
+
+def _plain_gsf_reference(pt, pool):
+    """The anchor-cut pass at pt.x written out: pool cuts at tight_ell(pt.x)
+    violated at pt, else the exact argmin's cut by the keep rule."""
+    inst = pool.inst
+    ell = tight_ell(inst, pt.x)
+    hits = [cut for cut in (improved_cut(inst, y, ell, cy) for y, cy in pool.scan()) if pt.eta > cut.rhs_at(pt.x) + EPS_VIOL]
+    if hits:
+        return hits
+    sites, _, _ = rmedian_solve(gsf_separation_costs(inst, pt.x), start=pool.sites())
+    y = indicator(inst.n, sites)
+    cut = improved_cut(inst, y, ell, pool.add(y))
+    if pt.integral:
+        return [] if at_most(pt.eta, cut.rhs_at(pt.x)) else [cut]
+    return [cut] if pt.eta > cut.rhs_at(pt.x) + EPS_VIOL else []
+
+
+def _fractional_point(rng, inst):
+    x = rng.uniform(0.05, 1.0, size=inst.n)
+    x = np.clip(x * inst.p / x.sum(), 0.0, 1.0)
+    return RelaxPoint(eta=float(rng.uniform(0.3, 1.0) * inst.total_demand), x=x)
+
+
+def test_gsf_without_a_center_is_the_plain_pass_bit_for_bit():
+    """at=None separates at pt.x exactly as the plain anchor-cut pass."""
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        inst = random_instance(rng, m=int(rng.integers(2, 6)), n=int(rng.integers(3, 7)))
+        pools = FollowerPool(inst), FollowerPool(inst)
+        for y in (random_choice(rng, inst.n, inst.r) for _ in range(int(rng.integers(0, 3)))):
+            for pool in pools:
+                pool.add(y)
+        for _ in range(4):
+            pt = _fractional_point(rng, inst) if rng.random() < 0.7 else RelaxPoint(eta=inst.total_demand, x=random_choice(rng, inst.n, inst.p).astype(float))
+            got, want = separate_gsf(pt, pools[0], at=None), _plain_gsf_reference(pt, pools[1])
+            assert [c.provenance for c in got] == [c.provenance for c in want]
+            for a, b in zip(got, want):
+                assert a.constant == b.constant and np.array_equal(a.xcoef, b.xcoef)
+            assert [tuple(y) for y in pools[0]] == [tuple(y) for y in pools[1]]
+
+
+def test_gsf_at_a_far_center_returns_only_cuts_violated_at_the_point():
+    """With the center far from pt.x, every cut is the anchor cut at the
+    center's tight_ell and pt violates it by more than eps; the exact pass
+    records the center's r-median costs on the pool."""
+    rng = np.random.default_rng(62)
+    returned = 0
+    for _ in range(40):
+        inst = random_instance(rng, m=int(rng.integers(2, 6)), n=int(rng.integers(3, 7)))
+        pool = FollowerPool(inst)
+        for _ in range(5):
+            pt = _fractional_point(rng, inst)
+            center = 1.0 - pt.x  # far from pt.x, the other end of the box
+            pool.last_solve = None
+            cuts = separate_gsf(pt, pool, at=center)
+            ell = tuple(tight_ell(inst, center).tolist())
+            for cut in cuts:
+                assert cut.provenance[2] == ell
+                assert pt.eta > cut.rhs_at(pt.x) + EPS_VIOL
+            if pool.last_solve is not None:
+                assert np.array_equal(pool.last_solve[0].cost, gsf_separation_costs(inst, center).cost)
+            returned += len(cuts)
+    assert returned > 0

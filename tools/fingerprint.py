@@ -3,6 +3,7 @@ every result, and compare two such outputs.
 
     python3 tools/fingerprint.py [ROOT] > fingerprint.jsonl
     python3 tools/fingerprint.py --compare A.jsonl B.jsonl
+    python3 tools/fingerprint.py --compare --results A.jsonl B.jsonl
 
 ROOT is a checkout of this repository (default: the one holding this
 script); its src/scflp and perfbench/workloads.py are imported, every
@@ -19,6 +20,12 @@ When all agree it also prints how many hull lines differ and the largest
 difference.  Otherwise it prints the first operation that differs, with
 both lines, and exits 1; a line that is not a fingerprint (say, cut off by
 a killed run) is printed with its file and line number, and exits 1 too.
+
+--results is for a change that moves the search by design (another cut
+sequence, another node order): a solve line then agrees when objective,
+upper_bound, gap_pct, status and best_x are byte-identical and root_bound
+agrees within 1e-9 relative; nodes and cuts may differ.  When all agree it
+also prints how many solve lines differ in root_bound, in nodes and in cuts.
 """
 
 import os
@@ -33,6 +40,8 @@ import json
 from pathlib import Path
 
 HULL_TOL = 1e-9  # largest max_discrepancy difference --compare accepts
+ROOT_TOL = 1e-9  # largest relative root_bound difference --compare --results accepts
+SEARCH_KEYS = ("root_bound", "nodes", "cuts")  # may move under --results; every other field may not
 
 
 def fingerprint(rep) -> dict:
@@ -75,14 +84,28 @@ def _hull_difference(a: dict, b: dict) -> float | None:
     return abs(float(a[hull]) - float(b[hull]))
 
 
-def compare(path_a: str, path_b: str) -> int:
+def _same_result(a: dict, b: dict) -> bool:
+    """Whether two operations are the same solve operation with the same
+    result fields and root bounds within ROOT_TOL relative."""
+    if "root_bound" not in a or a.keys() != b.keys() or any(a[k] != b[k] for k in a if k not in SEARCH_KEYS):
+        return False
+    root_a, root_b = float(a["root_bound"]), float(b["root_bound"])
+    return root_a == root_b or abs(root_a - root_b) <= ROOT_TOL * max(abs(root_a), abs(root_b))
+
+
+def compare(path_a: str, path_b: str, results: bool = False) -> int:
     read_a, read_b = _read(path_a), _read(path_b)
     if read_a is None or read_b is None:
         return 1
     (lines_a, ops_a), (lines_b, ops_b) = read_a, read_b
     hull_lines, moved = 0, []
+    search_moved = dict.fromkeys(SEARCH_KEYS, 0)
     for line_a, line_b, a, b in itertools.zip_longest(lines_a, lines_b, ops_a, ops_b):
         diff = None if a is None or b is None else _hull_difference(a, b)
+        if results and line_a != line_b and diff is None and a is not None and b is not None and _same_result(a, b):
+            for key in SEARCH_KEYS:
+                search_moved[key] += a[key] != b[key]
+            continue
         if line_a != line_b and (diff is None or diff > HULL_TOL):
             op = a or b
             print(f"first differing op: {op['workload']} {op['op']}")
@@ -95,15 +118,19 @@ def compare(path_a: str, path_b: str) -> int:
                 moved.append(diff)
     print(f"{len(lines_a)} ops agree")
     print(f"{len(moved)} of {hull_lines} hull lines differ, by at most {max(moved, default=0.0):.2g}")
+    if results:
+        print(", ".join(f"{count} solve lines differ in {key}" for key, count in search_moved.items()))
     return 0
 
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--compare"]:
-        if len(argv) != 3:
-            print("usage: fingerprint.py --compare A.jsonl B.jsonl", file=sys.stderr)
+        results = argv[1:2] == ["--results"]
+        paths = argv[2:] if results else argv[1:]
+        if len(paths) != 2:
+            print("usage: fingerprint.py --compare [--results] A.jsonl B.jsonl", file=sys.stderr)
             return 2
-        return compare(argv[1], argv[2])
+        return compare(*paths, results=results)
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
